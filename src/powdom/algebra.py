@@ -35,12 +35,11 @@ from .poset import FinPoset, sub_poset
 from .sampling import (
     DEFAULT_SIZE_GUARD,
     DEFAULT_TRIALS,
+    EXHAUSTIVE,
     LAW_GRID,
+    SAMPLED,
     random_extnn,
 )
-
-EXHAUSTIVE = "exhaustive"
-SAMPLED = "grid+samples"
 
 
 class OpTag(str, Enum):

@@ -198,24 +198,22 @@ def catalog_valuations(poset: FinPoset):
     return out
 
 
-def catalog_subfns(poset: FinPoset, cap: int = 12):
-    """SubFns formed from one or two catalog valuations, deterministically."""
+def catalog_envelopes(poset: FinPoset, envelope, cap: int = 12):
+    """Envelopes of one type (SubFn or SupFn) formed from one or two catalog
+    valuations, deterministically."""
     vals = catalog_valuations(poset)
-    out = [SubFn((v,)) for v in vals[: cap // 2]]
+    out = [envelope((v,)) for v in vals[: cap // 2]]
     for i in range(len(vals)):
         for j in range(i + 1, len(vals)):
             if len(out) >= cap:
                 return out
-            out.append(SubFn((vals[i], vals[j])))
+            out.append(envelope((vals[i], vals[j])))
     return out
+
+
+def catalog_subfns(poset: FinPoset, cap: int = 12):
+    return catalog_envelopes(poset, SubFn, cap)
 
 
 def catalog_supfns(poset: FinPoset, cap: int = 12):
-    vals = catalog_valuations(poset)
-    out = [SupFn((v,)) for v in vals[: cap // 2]]
-    for i in range(len(vals)):
-        for j in range(i + 1, len(vals)):
-            if len(out) >= cap:
-                return out
-            out.append(SupFn((vals[i], vals[j])))
-    return out
+    return catalog_envelopes(poset, SupFn, cap)

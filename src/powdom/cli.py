@@ -15,12 +15,14 @@ import sys
 import time
 
 from .algebra import (
+    CheckOutcome,
     FinAlgebra,
     is_entropic,
     is_homomorphism,
     is_relaxed_entropic,
     is_relaxed_morphism,
 )
+from .catalog import catalog_valuations
 from .defs import load_workspace, ptransformer_literal, transformer_literal
 from .errors import (
     ParseError,
@@ -31,23 +33,26 @@ from .errors import (
 )
 from .monad import functional_space, p_transform, q_transform
 from .powerdomain import (
-    SubFn,
-    SupFn,
-    check_sublinear,
-    check_superlinear,
+    SET_POWERDOMAINS,
+    check_linear_side,
     chi,
+    dirac,
     domination_check,
-    hoare_powerdomain,
-    pred_add,
-    pred_scale,
-    smyth_powerdomain,
     sobrification,
     valuation_leq,
+    valuations_linear,
 )
 from .poset import all_up_sets, sub_poset
 from .report import Report
-from .sampling import DEFAULT_SEED, DEFAULT_SIZE_GUARD, DEFAULT_TRIALS, SCALAR_GRID, task_rng
-from .verify import SuiteConfig, run_suite
+from .sampling import (
+    DEFAULT_SEED,
+    DEFAULT_SIZE_GUARD,
+    DEFAULT_TRIALS,
+    EXHAUSTIVE,
+    SAMPLED,
+    task_rng,
+)
+from .verify import MIN_CATALOG_MAX, SuiteConfig, run_suite
 
 
 def _add_common(parser):
@@ -142,14 +147,9 @@ def _cmd_check(args, ws, report):
 
 def _cmd_powerdomain(args, ws, report):
     poset = ws.poset(args.poset)
-    dot_poset = None
-    if args.kind == "hoare":
-        result = hoare_powerdomain(poset, ws.algebra("2_ang"), args.size_guard)
-        report.extend(result.checks)
-        report.payload["powerdomain"] = result.as_record()
-        dot_poset = result.set_poset
-    elif args.kind == "smyth":
-        result = smyth_powerdomain(poset, ws.algebra("2_dem"), args.size_guard)
+    if args.kind in SET_POWERDOMAINS:
+        side, build = SET_POWERDOMAINS[args.kind]
+        result = build(poset, ws.algebra(side.algebra), args.size_guard)
         report.extend(result.checks)
         report.payload["powerdomain"] = result.as_record()
         dot_poset = result.set_poset
@@ -160,53 +160,26 @@ def _cmd_powerdomain(args, ws, report):
         report.payload["count"] = len(points)
         dot_poset = poset
     else:
-        report.payload.update(_valuation_powerdomain(args, poset, ws, report))
+        report.payload.update(_valuation_powerdomain(args, poset, report))
         dot_poset = poset
-    if args.dot and dot_poset is not None:
+    if args.dot:
         with open(args.dot, "w", encoding="utf-8") as fh:
             fh.write(dot_poset.dot(f"{args.kind}_{args.poset}"))
 
 
-def _valuation_powerdomain(args, poset, ws, report):
+def _valuation_powerdomain(args, poset, report):
     """Desk-scale view of the valuation powerdomain: the point evaluations,
     their order (an embedded copy of the poset), and the engine's laws."""
-    from . import catalog as _catalog
-    from .powerdomain import dirac
-
     diracs = [dirac(poset, i) for i in range(poset.size)]
     embed_ok = all(
         valuation_leq(diracs[i], diracs[j], args.size_guard) == poset.leq[i][j]
         for i in range(poset.size)
         for j in range(poset.size)
     )
-    report.add(
-        {
-            "name": "valuations:point-evaluations-embed",
-            "verdict": "pass" if embed_ok else "fail",
-            "mode": "exhaustive",
-            "witness": None,
-        }
-    )
-    rng = task_rng(args.seed, f"powerdomain.valuations.{args.poset}")
-    lin_ok = True
+    report.add(CheckOutcome("valuations:point-evaluations-embed", embed_ok, EXHAUSTIVE))
     chis = [chi(u) for u in all_up_sets(poset, args.size_guard)]
-    for mu in _catalog.catalog_valuations(poset):
-        for f in chis:
-            for g in chis:
-                if mu(pred_add(f, g)) != mu(f) + mu(g):
-                    lin_ok = False
-        for r in SCALAR_GRID:
-            for f in chis:
-                if mu(pred_scale(r, f)) != r * mu(f):
-                    lin_ok = False
-    report.add(
-        {
-            "name": "valuations:simple-valuations-linear",
-            "verdict": "pass" if lin_ok else "fail",
-            "mode": "grid+samples",
-            "witness": None,
-        }
-    )
+    lin_ok = valuations_linear(catalog_valuations(poset), chis, chis)
+    report.add(CheckOutcome("valuations:simple-valuations-linear", lin_ok, SAMPLED))
     return {
         "points": [d.literal() for d in diracs],
         "count": len(diracs),
@@ -284,14 +257,7 @@ def _cmd_transform(args, ws, report):
     report.payload["name"] = args.name
     report.payload["result"] = literal
     report.payload["classification"] = classification
-    report.add(
-        {
-            "name": "transform:converted",
-            "verdict": "pass",
-            "mode": "exhaustive",
-            "witness": None,
-        }
-    )
+    report.add(CheckOutcome("transform:converted", True, EXHAUSTIVE))
 
 
 def _poset_name(ws, poset):
@@ -304,16 +270,8 @@ def _poset_name(ws, poset):
 def _cmd_valuation(args, ws, report):
     phi = ws.functional(args.name)
     report.payload["name"] = args.name
-    if isinstance(phi, SubFn):
-        law = check_sublinear(phi, args.trials, args.seed, args.size_guard)
-    elif isinstance(phi, SupFn):
-        law = check_superlinear(phi, args.trials, args.seed, args.size_guard)
-    else:
-        sub = check_sublinear(phi, args.trials, args.seed, args.size_guard)
-        sup = check_superlinear(phi, args.trials, args.seed, args.size_guard)
-        report.add(sub)
-        law = sup  # a simple valuation is both sub- and superlinear
-    report.add(law)
+    for side in phi.sides:
+        report.add(check_linear_side(phi, side, args.trials, args.seed, args.size_guard))
     if args.against:
         target = ws.functional(args.against)
         mu = ws.valuation(args.name)
@@ -328,9 +286,7 @@ def _cmd_export_dot(args, ws, report):
         with open(args.dot, "w", encoding="utf-8") as fh:
             fh.write(text)
     report.payload["dot"] = text
-    report.add(
-        {"name": "export-dot", "verdict": "pass", "mode": "exhaustive", "witness": None}
-    )
+    report.add(CheckOutcome("export-dot", True, EXHAUSTIVE))
 
 
 def main(argv=None) -> int:
@@ -342,6 +298,9 @@ def main(argv=None) -> int:
         except ValueError:
             print("POWDOM_SEED must be an integer", file=sys.stderr)
             return 2
+    if args.cmd == "verify-suite" and args.catalog_max < MIN_CATALOG_MAX:
+        print(f"error: --catalog-max must be at least {MIN_CATALOG_MAX}", file=sys.stderr)
+        return 2
 
     # output destinations are not semantic inputs; keep them out of the echo
     # so reports stay identical wherever they are written

@@ -40,6 +40,7 @@ Built-in catalog names are always in scope; files may not redefine them.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass, field
 
@@ -50,7 +51,7 @@ from .extnum import ExtNN, enn_max, enn_min
 from .funcspace import MonoMap
 from .monad import PredicateTransformer, StateTransformer, functional_space
 from .poset import FinPoset, poset_from_cover
-from .powerdomain import Predicate, SimpleValuation, SubFn, SupFn
+from .powerdomain import ENVELOPES, Predicate, SimpleValuation
 from .sampling import DEFAULT_SIZE_GUARD
 
 _TOKEN = re.compile(r"\|->|->|[{}();,:@\[\]]|[^\s{}();,:@\[\]]+")
@@ -87,6 +88,21 @@ class _Lexer:
     def error(self, tok, message):
         return ParseError(self.path, tok.line if tok else 0, message)
 
+    def entries(self, what):
+        """Walk a ``{ entry; entry; ... }`` body, yielding each entry's first
+        token unconsumed; the caller parses the entry.  Separators are optional."""
+        self.next("{")
+        while True:
+            tok = self.peek()
+            if tok is None:
+                raise self.error(tok, f"unterminated {what} body")
+            if tok.text == "}":
+                self.next()
+                return
+            yield tok
+            if self.peek() is not None and self.peek().text == ";":
+                self.next()
+
 
 @dataclass
 class Workspace:
@@ -96,8 +112,10 @@ class Workspace:
     algebras: dict = field(default_factory=dict)
     maps: dict = field(default_factory=dict)
     valuations: dict = field(default_factory=dict)
-    subfns: dict = field(default_factory=dict)
-    supfns: dict = field(default_factory=dict)
+    # one table per envelope statement keyword (subfn, supfn)
+    envelopes: dict = field(
+        default_factory=lambda: {e.side.keyword: {} for e in ENVELOPES}
+    )
     predicates: dict = field(default_factory=dict)
     transformers: dict = field(default_factory=dict)
     ptransformers: dict = field(default_factory=dict)
@@ -123,10 +141,9 @@ class Workspace:
         return self._lookup(self.valuations, "valuation", name)
 
     def functional(self, name):
-        if name in self.subfns:
-            return self.subfns[name]
-        if name in self.supfns:
-            return self.supfns[name]
+        for table in self.envelopes.values():
+            if name in table:
+                return table[name]
         if name in self.valuations:
             return self.valuations[name]
         raise UnknownName(f"unknown valuation or functional {name!r}")
@@ -261,15 +278,8 @@ def _parse_algebra(ws: Workspace, lex: _Lexer, kw):
 def _parse_table_body(ws, lex, carrier, sym):
     if carrier is None:
         raise lex.error(lex.peek(), "tables need a finite carrier; use 'builtin' on extnn")
-    lex.next("{")
     table = {}
-    while True:
-        tok = lex.peek()
-        if tok is None:
-            raise lex.error(tok, "unterminated table body")
-        if tok.text == "}":
-            lex.next()
-            break
+    for _ in lex.entries("table"):
         lex.next("(")
         args = []
         while lex.peek() is not None and lex.peek().text != ")":
@@ -281,8 +291,6 @@ def _parse_table_body(ws, lex, carrier, sym):
         lex.next("->")
         value = carrier.index(lex.next().text)
         table[tuple(args)] = value
-        if lex.peek() is not None and lex.peek().text == ";":
-            lex.next()
     return table
 
 
@@ -317,24 +325,16 @@ def _assemble_algebra(name, on_extnn, carrier, ops, tables, builtins):
 
 
 def _parse_map_body(ws, lex, source: FinPoset, target: FinPoset):
-    lex.next("{")
     table = [None] * source.size
-    while True:
-        tok = lex.peek()
-        if tok is None:
-            raise lex.error(tok, "unterminated map body")
-        if tok.text == "}":
-            lex.next()
-            break
+    for _ in lex.entries("map"):
         src = lex.next()
         lex.next("|->")
         dst = lex.next()
         table[source.index(src.text)] = target.index(dst.text)
-        if lex.peek() is not None and lex.peek().text == ";":
-            lex.next()
     missing = [source.labels[i] for i, v in enumerate(table) if v is None]
     if missing:
-        raise lex.error(tok, f"map body misses elements {missing}")
+        closing = lex.toks[lex.pos - 1]
+        raise lex.error(closing, f"map body misses elements {missing}")
     return tuple(table)
 
 
@@ -354,21 +354,12 @@ def _parse_map(ws: Workspace, lex: _Lexer, kw):
 
 def _parse_val_body(ws, lex, poset: FinPoset) -> SimpleValuation:
     lex.next("val")
-    lex.next("{")
     atoms = []
-    while True:
-        tok = lex.peek()
-        if tok is None:
-            raise lex.error(tok, "unterminated valuation body")
-        if tok.text == "}":
-            lex.next()
-            break
+    for _ in lex.entries("valuation"):
         weight = _parse_extnn(lex, lex.next())
         lex.next("@")
         point = poset.index(lex.next().text)
         atoms.append((weight, point))
-        if lex.peek() is not None and lex.peek().text == ";":
-            lex.next()
     return SimpleValuation(poset, tuple(atoms))
 
 
@@ -380,45 +371,18 @@ def _parse_valuation(ws: Workspace, lex: _Lexer, kw):
     ws.define(ws.valuations, "valuation", name, val, lex.path, kw.line)
 
 
-def _parse_combo(ws, lex, poset, opener):
-    lex.next(opener)
-    lex.next("{")
-    comps = []
-    while True:
-        tok = lex.peek()
-        if tok is None:
-            raise lex.error(tok, "unterminated functional body")
-        if tok.text == "}":
-            lex.next()
-            break
-        comps.append(_parse_val_body(ws, lex, poset))
-        if lex.peek() is not None and lex.peek().text == ";":
-            lex.next()
-    return comps
-
-
-def _parse_subfn(ws: Workspace, lex: _Lexer, kw):
+def _parse_envelope(envelope, ws: Workspace, lex: _Lexer, kw):
     name = lex.next().text
     lex.next("on")
     poset = ws.poset(lex.next().text)
-    comps = _parse_combo(ws, lex, poset, "sup")
+    lex.next(envelope.side.opener)
+    comps = [_parse_val_body(ws, lex, poset) for _ in lex.entries("functional")]
     try:
-        fn = SubFn(tuple(comps))
+        fn = envelope(tuple(comps))
     except PowdomError as exc:
         raise ParseError(lex.path, kw.line, str(exc)) from None
-    ws.define(ws.subfns, "subfn", name, fn, lex.path, kw.line)
-
-
-def _parse_supfn(ws: Workspace, lex: _Lexer, kw):
-    name = lex.next().text
-    lex.next("on")
-    poset = ws.poset(lex.next().text)
-    comps = _parse_combo(ws, lex, poset, "inf")
-    try:
-        fn = SupFn(tuple(comps))
-    except PowdomError as exc:
-        raise ParseError(lex.path, kw.line, str(exc)) from None
-    ws.define(ws.supfns, "supfn", name, fn, lex.path, kw.line)
+    keyword = envelope.side.keyword
+    ws.define(ws.envelopes[keyword], keyword, name, fn, lex.path, kw.line)
 
 
 def _parse_predicate(ws: Workspace, lex: _Lexer, kw):
@@ -426,20 +390,11 @@ def _parse_predicate(ws: Workspace, lex: _Lexer, kw):
     lex.next("on")
     poset = ws.poset(lex.next().text)
     lex.next("pred")
-    lex.next("{")
     values = [None] * poset.size
-    while True:
-        tok = lex.peek()
-        if tok is None:
-            raise lex.error(tok, "unterminated predicate body")
-        if tok.text == "}":
-            lex.next()
-            break
+    for _ in lex.entries("predicate"):
         elem = poset.index(lex.next().text)
         lex.next("->")
         values[elem] = _parse_extnn(lex, lex.next())
-        if lex.peek() is not None and lex.peek().text == ";":
-            lex.next()
     for i, v in enumerate(values):
         if v is None:
             raise ParseError(lex.path, kw.line, f"predicate misses element {poset.labels[i]}")
@@ -482,15 +437,8 @@ def _parse_transformer(ws: Workspace, lex: _Lexer, kw):
         if tok.text != "at":
             raise lex.error(tok, f"expected 'at' or 'end', found {tok.text!r}")
         x = source.index(lex.next().text)
-        lex.next("{")
         entries = {}
-        while True:
-            t = lex.peek()
-            if t is None:
-                raise lex.error(t, "unterminated functional body")
-            if t.text == "}":
-                lex.next()
-                break
+        for t in lex.entries("functional"):
             g = _parse_value_tuple(ws, lex, algebra.carrier)
             lex.next("->")
             try:
@@ -498,8 +446,6 @@ def _parse_transformer(ws: Workspace, lex: _Lexer, kw):
             except PowdomError as exc:
                 raise ParseError(lex.path, t.line, str(exc)) from None
             entries[g_idx] = algebra.carrier.index(lex.next().text)
-            if lex.peek() is not None and lex.peek().text == ";":
-                lex.next()
         functional = tuple(
             entries.get(i) for i in range(len(space.predicates))
         )
@@ -561,8 +507,7 @@ _STATEMENTS = {
     "algebra": _parse_algebra,
     "map": _parse_map,
     "valuation": _parse_valuation,
-    "subfn": _parse_subfn,
-    "supfn": _parse_supfn,
+    **{e.side.keyword: functools.partial(_parse_envelope, e) for e in ENVELOPES},
     "predicate": _parse_predicate,
     "transformer": _parse_transformer,
     "ptransformer": _parse_ptransformer,

@@ -51,10 +51,6 @@ class ExtNN:
         return INF
 
     @classmethod
-    def from_ratio(cls, num: int, den: int) -> "ExtNN":
-        return cls(Fraction(num, den))
-
-    @classmethod
     def parse(cls, text: str) -> "ExtNN":
         m = _LITERAL.match(text.strip())
         if not m:
@@ -128,10 +124,6 @@ class ExtNN:
 ZERO = ExtNN(0)
 ONE = ExtNN(1)
 INF = ExtNN(None)
-
-
-def enn_add(a: ExtNN, b: ExtNN) -> ExtNN:
-    return a + b
 
 
 def enn_mul(a: ExtNN, b: ExtNN) -> ExtNN:

@@ -28,7 +28,7 @@ from .algebra import (
 from .errors import NonMonotoneResult, NotMonotone, TypeMismatch
 from .funcspace import MonoMap, enumerate_monotone
 from .poset import FinPoset, sub_poset
-from .sampling import DEFAULT_SIZE_GUARD
+from .sampling import DEFAULT_SIZE_GUARD, EXHAUSTIVE
 
 
 class FunctionalSpace:
@@ -93,12 +93,15 @@ class FunctionalSpace:
 
 
 @lru_cache(maxsize=None)
-def _functional_space(x, algebra, size_guard):
+def _functional_space(x, algebra, name, size_guard):
     return FunctionalSpace(x, algebra, size_guard)
 
 
 def functional_space(x: FinPoset, algebra: FinAlgebra, size_guard: int = DEFAULT_SIZE_GUARD) -> FunctionalSpace:
-    return _functional_space(x, algebra, size_guard)
+    # FinAlgebra equality ignores the name, but printed transformer literals
+    # read the name off the space, so equal algebras under different names
+    # (frame2, lattice2) must not share a cached space
+    return _functional_space(x, algebra, algebra.name, size_guard)
 
 
 def delta(x: FinPoset, algebra: FinAlgebra, size_guard: int = DEFAULT_SIZE_GUARD):
@@ -309,13 +312,13 @@ def check_monad_laws(x, y, z, algebra, t: StateTransformer, r: StateTransformer,
         kleisli_lift(unit, phi, size_guard).table == phi.table
         for phi in x_space.space.maps
     )
-    checks.append(CheckOutcome("monad:lift-of-unit-is-identity", ok, "exhaustive"))
+    checks.append(CheckOutcome("monad:lift-of-unit-is-identity", ok, EXHAUSTIVE))
 
     ok = all(
         kleisli_lift(t, x_space.delta(i), size_guard).table == t(i).table
         for i in range(x.size)
     )
-    checks.append(CheckOutcome("monad:lift-after-unit-is-plain", ok, "exhaustive"))
+    checks.append(CheckOutcome("monad:lift-after-unit-is-plain", ok, EXHAUSTIVE))
 
     rt = compose_transformers(t, r, size_guard)
     ok = all(
@@ -323,5 +326,5 @@ def check_monad_laws(x, y, z, algebra, t: StateTransformer, r: StateTransformer,
         == kleisli_lift(r, kleisli_lift(t, phi, size_guard), size_guard).table
         for phi in x_space.space.maps
     )
-    checks.append(CheckOutcome("monad:lift-is-associative", ok, "exhaustive"))
+    checks.append(CheckOutcome("monad:lift-is-associative", ok, EXHAUSTIVE))
     return checks

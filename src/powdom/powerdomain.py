@@ -15,8 +15,10 @@ every predicate reduces to domination on the finitely many up-sets.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
+from typing import Callable, ClassVar
 
 from .algebra import CheckOutcome, FinAlgebra, is_homomorphism
 from .errors import RejectInteger, TypeMismatch
@@ -26,13 +28,12 @@ from .poset import ElemSet, FinPoset, all_down_sets, all_up_sets, is_order_iso, 
 from .sampling import (
     DEFAULT_SIZE_GUARD,
     DEFAULT_TRIALS,
+    EXHAUSTIVE,
+    SAMPLED,
     SCALAR_GRID,
     random_monotone_values,
     task_rng,
 )
-
-EXHAUSTIVE = "exhaustive"
-SAMPLED = "grid+samples"
 
 
 # ---------------------------------------------------------------------------
@@ -161,6 +162,46 @@ class PredAlgebra:
 
 
 # ---------------------------------------------------------------------------
+# the two linear sides: sublinear (max, <=) and superlinear (min, >=)
+
+
+@dataclass(frozen=True)
+class LinearSide:
+    """One side of the sublinear/superlinear pair.
+
+    ``below`` fixes the direction of the laws: the sublinear side is
+    subadditive (phi(f + g) <= phi(f) + phi(g)), dominates joins and lies
+    above its components; the superlinear side reverses all three.
+    """
+
+    name: str  # law report name and prefix of the sampled stream labels
+    keyword: str  # definition-file statement
+    opener: str  # literal opener
+    combine: Callable  # binary max or min of values
+    pred_combine: Callable  # pointwise max or min of predicates
+    below: bool
+    additive: str  # name of the additivity check
+    lattice: str  # name of the join (sublinear) or meet (superlinear) check
+    lattice_label: str  # stream label suffix of that check
+    domination: str  # name of the domination check of a valuation
+
+
+SUBLINEAR = LinearSide(
+    "sublinear", "subfn", "sup", enn_max, pred_sup, True,
+    "subadditive", "dominates-joins", "join", "dominated-by-max",
+)
+SUPERLINEAR = LinearSide(
+    "superlinear", "supfn", "inf", enn_min, pred_inf, False,
+    "superadditive", "below-meets", "meet", "dominates-min",
+)
+SIDES = (SUBLINEAR, SUPERLINEAR)
+
+
+def _oriented_leq(below: bool, a: ExtNN, b: ExtNN) -> bool:
+    return a <= b if below else b <= a
+
+
+# ---------------------------------------------------------------------------
 # simple valuations and their finite max/min combinations
 
 
@@ -175,6 +216,9 @@ class SimpleValuation:
 
     poset: FinPoset
     atoms: tuple
+
+    # linear, so both sublinear and superlinear
+    sides = SIDES
 
     def __post_init__(self):
         merged: dict[int, ExtNN] = {}
@@ -234,53 +278,61 @@ def valuation_leq(mu: SimpleValuation, nu: SimpleValuation, size_guard: int = DE
     )
 
 
-def _combo(kind, values):
-    acc = None
-    for v in values:
-        acc = v if acc is None else (enn_max(acc, v) if kind == "max" else enn_min(acc, v))
-    return acc
+def valuations_linear(vals, pairs_over, scaled_over) -> bool:
+    """Each valuation is additive on every pair drawn from ``pairs_over``
+    and homogeneous over the scalar grid on every predicate in ``scaled_over``."""
+    for mu in vals:
+        for f in pairs_over:
+            for g in pairs_over:
+                if mu(pred_add(f, g)) != mu(f) + mu(g):
+                    return False
+        for f in scaled_over:
+            for r in SCALAR_GRID:
+                if mu(pred_scale(r, f)) != r * mu(f):
+                    return False
+    return True
 
 
 @dataclass(frozen=True)
-class SubFn:
+class Envelope:
+    """Finite maximum or minimum of simple valuations; subclasses fix the side."""
+
+    components: tuple
+    side: ClassVar[LinearSide]
+
+    def __post_init__(self):
+        comps = _canonical_components(self.components)
+        object.__setattr__(self, "components", comps)
+
+    @property
+    def poset(self):
+        return self.components[0].poset
+
+    @property
+    def sides(self):
+        return (self.side,)
+
+    def __call__(self, f: Predicate) -> ExtNN:
+        return functools.reduce(self.side.combine, (mu(f) for mu in self.components))
+
+    def literal(self) -> str:
+        return self.side.opener + "{ " + "; ".join(c.literal() for c in self.components) + " }"
+
+
+class SubFn(Envelope):
     """Finite maximum of simple valuations: evaluates sublinearly."""
 
-    components: tuple
-
-    def __post_init__(self):
-        comps = _canonical_components(self.components)
-        object.__setattr__(self, "components", comps)
-
-    @property
-    def poset(self):
-        return self.components[0].poset
-
-    def __call__(self, f: Predicate) -> ExtNN:
-        return _combo("max", (mu(f) for mu in self.components))
-
-    def literal(self) -> str:
-        return "sup{ " + "; ".join(c.literal() for c in self.components) + " }"
+    side = SUBLINEAR
 
 
-@dataclass(frozen=True)
-class SupFn:
+class SupFn(Envelope):
     """Finite minimum of simple valuations: evaluates superlinearly."""
 
-    components: tuple
+    side = SUPERLINEAR
 
-    def __post_init__(self):
-        comps = _canonical_components(self.components)
-        object.__setattr__(self, "components", comps)
 
-    @property
-    def poset(self):
-        return self.components[0].poset
-
-    def __call__(self, f: Predicate) -> ExtNN:
-        return _combo("min", (mu(f) for mu in self.components))
-
-    def literal(self) -> str:
-        return "inf{ " + "; ".join(c.literal() for c in self.components) + " }"
+# the envelope type of each side, in side order
+ENVELOPES = (SubFn, SupFn)
 
 
 def _canonical_components(components):
@@ -324,10 +376,61 @@ class PowerdomainResult:
         }
 
 
-def _upset_of_predicate(pred_map, algebra):
-    """Indices where a two-valued predicate map takes the top value."""
+@dataclass(frozen=True)
+class SetSide:
+    """One side of the Hoare/Smyth pair: which sets present the powerdomain
+    and which functional each set stands for."""
+
+    kind: str
+    algebra: str  # catalog name of the two-valued observation algebra
+    sets: Callable  # all_down_sets or all_up_sets
+    reverse: bool  # order the sets by reverse inclusion
+    hits: Callable  # (set, support of a predicate) -> the functional's value is 1
+
+
+HOARE = SetSide(
+    "hoare", "2_ang", all_down_sets, False, lambda d, support: any(i in d for i in support)
+)
+SMYTH = SetSide(
+    "smyth", "2_dem", all_up_sets, True, lambda q, support: all(i in support for i in q.members())
+)
+
+
+def _set_powerdomain(side: SetSide, x: FinPoset, algebra: FinAlgebra, size_guard: int):
+    """Match the side's sets with the op-preserving functionals.
+
+    Returns the result together with each predicate's support (the indices
+    where it takes the top value), computed once per predicate.
+    """
+    space = functional_space(x, algebra, size_guard)
+    sets = side.sets(x, size_guard)
+    set_poset = set_inclusion_poset(sets, reverse=side.reverse)
+    homs = sorted(space.hom_indices)
     top = 1 if algebra.carrier.leq[0][1] else 0
-    return frozenset(i for i, v in enumerate(pred_map.table) if v == top)
+    supports = [
+        frozenset(i for i, v in enumerate(pred.table) if v == top)
+        for pred in space.predicates.maps
+    ]
+    images = [
+        space.space.index(tuple(1 if side.hits(s, support) else 0 for support in supports))
+        for s in sets
+    ]
+    pairing = [(s.label(), space.functional(idx).key()) for s, idx in zip(sets, images)]
+    bijective = sorted(images) == homs and len(set(images)) == len(images)
+    iso = bijective and is_order_iso(
+        set_poset, space.family_poset(tuple(homs)), [homs.index(i) for i in images]
+    )
+    checks = [
+        CheckOutcome(f"{side.kind}:bijection-onto-homs", bijective, EXHAUSTIVE),
+        CheckOutcome(f"{side.kind}:order-isomorphism", iso, EXHAUSTIVE),
+        CheckOutcome(
+            f"{side.kind}:free-equals-hom", sorted(space.free_indices) == homs, EXHAUSTIVE
+        ),
+    ]
+    result = PowerdomainResult(
+        side.kind, x, sets, set_poset, [space.functional(i) for i in homs], pairing, checks
+    )
+    return result, space, supports
 
 
 def hoare_powerdomain(x: FinPoset, algebra_ang: FinAlgebra, size_guard: int = DEFAULT_SIZE_GUARD) -> PowerdomainResult:
@@ -337,43 +440,7 @@ def hoare_powerdomain(x: FinPoset, algebra_ang: FinAlgebra, size_guard: int = DE
     to the functional sending a predicate with support U to 0 when U misses
     C and to 1 otherwise.
     """
-    space = functional_space(x, algebra_ang, size_guard)
-    downs = all_down_sets(x, size_guard)
-    down_poset = set_inclusion_poset(downs)
-    homs = list(space.hom_indices)
-    checks = []
-
-    pairing = []
-    images = []
-    for d in downs:
-        table = []
-        for pred in space.predicates.maps:
-            support = _upset_of_predicate(pred, algebra_ang)
-            hit = any(i in d for i in support)
-            table.append(1 if hit else 0)
-        idx = space.space.index(tuple(table))
-        images.append(idx)
-        pairing.append((d.label(), space.functional(idx).key()))
-
-    bijective = sorted(images) == sorted(homs) and len(set(images)) == len(images)
-    checks.append(CheckOutcome("hoare:bijection-onto-homs", bijective, EXHAUSTIVE))
-    if bijective:
-        mapping = [sorted(homs).index(i) for i in images]
-        hom_poset = space.family_poset(tuple(sorted(homs)))
-        iso = is_order_iso(down_poset, hom_poset, mapping)
-    else:
-        iso = False
-    checks.append(CheckOutcome("hoare:order-isomorphism", iso, EXHAUSTIVE))
-    checks.append(
-        CheckOutcome(
-            "hoare:free-equals-hom",
-            sorted(space.free_indices) == sorted(homs),
-            EXHAUSTIVE,
-        )
-    )
-    return PowerdomainResult(
-        "hoare", x, downs, down_poset, [space.functional(i) for i in sorted(homs)], pairing, checks
-    )
+    return _set_powerdomain(HOARE, x, algebra_ang, size_guard)[0]
 
 
 def smyth_powerdomain(x: FinPoset, algebra_dem: FinAlgebra, size_guard: int = DEFAULT_SIZE_GUARD) -> PowerdomainResult:
@@ -384,65 +451,27 @@ def smyth_powerdomain(x: FinPoset, algebra_dem: FinAlgebra, size_guard: int = DE
     up-sets (up-closed under inclusion, closed under intersection, and
     containing the whole space).
     """
-    space = functional_space(x, algebra_dem, size_guard)
-    ups = all_up_sets(x, size_guard)
-    up_poset = set_inclusion_poset(ups, reverse=True)
-    homs = list(space.hom_indices)
-    checks = []
-
-    pairing = []
-    images = []
-    for q in ups:
-        table = []
-        for pred in space.predicates.maps:
-            support = _upset_of_predicate(pred, algebra_dem)
-            covered = all(i in support for i in q.members())
-            table.append(1 if covered else 0)
-        idx = space.space.index(tuple(table))
-        images.append(idx)
-        pairing.append((q.label(), space.functional(idx).key()))
-
-    bijective = sorted(images) == sorted(homs) and len(set(images)) == len(images)
-    checks.append(CheckOutcome("smyth:bijection-onto-homs", bijective, EXHAUSTIVE))
-    if bijective:
-        mapping = [sorted(homs).index(i) for i in images]
-        hom_poset = space.family_poset(tuple(sorted(homs)))
-        iso = is_order_iso(up_poset, hom_poset, mapping)
-    else:
-        iso = False
-    checks.append(CheckOutcome("smyth:order-isomorphism", iso, EXHAUSTIVE))
-    checks.append(
-        CheckOutcome(
-            "smyth:free-equals-hom",
-            sorted(space.free_indices) == sorted(homs),
-            EXHAUSTIVE,
-        )
-    )
-
+    result, space, supports = _set_powerdomain(SMYTH, x, algebra_dem, size_guard)
+    whole = frozenset(range(x.size))
     filter_ok = True
-    for i in homs:
-        functional = space.functional(i)
-        ones = [
-            _upset_of_predicate(space.predicates.maps[g], algebra_dem)
-            for g in range(len(space.predicates))
-            if functional.table[g] == 1
-        ]
-        whole = frozenset(range(x.size))
+    for i in space.hom_indices:
+        table = space.functional(i).table
+        ones = [u for g, u in enumerate(supports) if table[g] == 1]
         if whole not in ones:
             filter_ok = False
         for u in ones:
             for v in ones:
                 if u & v not in ones:
                     filter_ok = False
-            for w in (
-                _upset_of_predicate(p, algebra_dem) for p in space.predicates.maps
-            ):
+            for w in supports:
                 if u <= w and w not in ones:
                     filter_ok = False
-    checks.append(CheckOutcome("smyth:preimages-are-filters", filter_ok, EXHAUSTIVE))
-    return PowerdomainResult(
-        "smyth", x, ups, up_poset, [space.functional(i) for i in sorted(homs)], pairing, checks
-    )
+    result.checks.append(CheckOutcome("smyth:preimages-are-filters", filter_ok, EXHAUSTIVE))
+    return result
+
+
+# each set-presented powerdomain by kind, with its side
+SET_POWERDOMAINS = {"hoare": (HOARE, hoare_powerdomain), "smyth": (SMYTH, smyth_powerdomain)}
 
 
 def sobrification(x: FinPoset, frame_algebra: FinAlgebra, size_guard: int = DEFAULT_SIZE_GUARD):
@@ -528,11 +557,11 @@ def _homogeneity_check(phi, poset, rng, trials, size_guard):
     return CheckOutcome("homogeneity", True, SAMPLED)
 
 
-def _pair_law_check(name, phi, poset, rng, trials, size_guard, combine, relation):
+def _pair_law_check(name, phi, poset, rng, trials, size_guard, combine, combine_values, holds):
     for f, g in _predicate_pairs(poset, rng, trials, size_guard):
         lhs = phi(combine(f, g))
-        rhs = relation["combine_values"](phi(f), phi(g))
-        if not relation["holds"](lhs, rhs):
+        rhs = combine_values(phi(f), phi(g))
+        if not holds(lhs, rhs):
             return CheckOutcome(
                 name,
                 False,
@@ -547,91 +576,74 @@ def _pair_law_check(name, phi, poset, rng, trials, size_guard, combine, relation
     return CheckOutcome(name, True, SAMPLED)
 
 
-def check_sublinear(phi, trials: int = DEFAULT_TRIALS, seed: int = 42, size_guard: int = DEFAULT_SIZE_GUARD) -> LawReport:
-    """Homogeneity, zero at zero, subadditivity, and join domination."""
+def check_linear_side(phi, side: LinearSide, trials: int = DEFAULT_TRIALS, seed: int = 42, size_guard: int = DEFAULT_SIZE_GUARD) -> LawReport:
+    """Homogeneity, zero at zero, and the side's additivity and lattice laws.
+
+    The side is an argument, never read off ``phi``, so any functional can
+    be tested against either side.
+    """
     poset = phi.poset
+    below = side.below
     checks = [
         CheckOutcome(
             "zero-at-zero",
             phi(constant_predicate(poset, ZERO)) == ZERO,
             EXHAUSTIVE,
         ),
-        _homogeneity_check(phi, poset, task_rng(seed, "sublinear:homog"), max(trials // 10, 10), size_guard),
+        _homogeneity_check(phi, poset, task_rng(seed, f"{side.name}:homog"), max(trials // 10, 10), size_guard),
         _pair_law_check(
-            "subadditive",
+            side.additive,
             phi,
             poset,
-            task_rng(seed, "sublinear:add"),
+            task_rng(seed, f"{side.name}:add"),
             trials,
             size_guard,
             pred_add,
-            {"combine_values": lambda a, b: a + b, "holds": lambda l, r: l <= r},
+            lambda a, b: a + b,
+            lambda l, r: _oriented_leq(below, l, r),
         ),
         _pair_law_check(
-            "dominates-joins",
+            side.lattice,
             phi,
             poset,
-            task_rng(seed, "sublinear:join"),
+            task_rng(seed, f"{side.name}:{side.lattice_label}"),
             trials,
             size_guard,
-            pred_sup,
-            {"combine_values": enn_max, "holds": lambda l, r: r <= l},
+            side.pred_combine,
+            side.combine,
+            lambda l, r: _oriented_leq(below, r, l),
         ),
     ]
-    return LawReport("sublinear", seed, trials, checks)
+    return LawReport(side.name, seed, trials, checks)
+
+
+def check_sublinear(phi, trials: int = DEFAULT_TRIALS, seed: int = 42, size_guard: int = DEFAULT_SIZE_GUARD) -> LawReport:
+    """Homogeneity, zero at zero, subadditivity, and join domination."""
+    return check_linear_side(phi, SUBLINEAR, trials, seed, size_guard)
 
 
 def check_superlinear(phi, trials: int = DEFAULT_TRIALS, seed: int = 42, size_guard: int = DEFAULT_SIZE_GUARD) -> LawReport:
     """Homogeneity, zero at zero, superadditivity, and meet domination."""
-    poset = phi.poset
-    checks = [
-        CheckOutcome(
-            "zero-at-zero",
-            phi(constant_predicate(poset, ZERO)) == ZERO,
-            EXHAUSTIVE,
-        ),
-        _homogeneity_check(phi, poset, task_rng(seed, "superlinear:homog"), max(trials // 10, 10), size_guard),
-        _pair_law_check(
-            "superadditive",
-            phi,
-            poset,
-            task_rng(seed, "superlinear:add"),
-            trials,
-            size_guard,
-            pred_add,
-            {"combine_values": lambda a, b: a + b, "holds": lambda l, r: r <= l},
-        ),
-        _pair_law_check(
-            "below-meets",
-            phi,
-            poset,
-            task_rng(seed, "superlinear:meet"),
-            trials,
-            size_guard,
-            pred_inf,
-            {"combine_values": enn_min, "holds": lambda l, r: l <= r},
-        ),
-    ]
-    return LawReport("superlinear", seed, trials, checks)
+    return check_linear_side(phi, SUPERLINEAR, trials, seed, size_guard)
 
 
 def domination_check(mu: SimpleValuation, phi, trials: int = DEFAULT_TRIALS, seed: int = 42, size_guard: int = DEFAULT_SIZE_GUARD) -> LawReport:
-    """Is mu below a SubFn (resp. above a SupFn) on every tested predicate?
+    """Is mu below a SubFn (resp. above a SupFn or a valuation) on every
+    tested predicate?
 
     The verdict is "no violation found"; it never proves membership in the
     dominated set.
     """
     if mu.poset != phi.poset:
         raise TypeMismatch("valuation and functional live over different posets")
-    below = isinstance(phi, SubFn)
-    name = "dominated-by-max" if below else "dominates-min"
+    side = SUBLINEAR if isinstance(phi, SubFn) else SUPERLINEAR
+    name = side.domination
     rng = task_rng(seed, "domination")
     chis = [chi(u) for u in all_up_sets(mu.poset, size_guard)]
     preds = chis + [random_predicate(mu.poset, rng) for _ in range(trials)]
     for f in preds:
         a, b = mu(f), phi(f)
-        ok = a <= b if below else b <= a
-        if not ok:
+        if not _oriented_leq(side.below, a, b):
             return LawReport(
                 name,
                 seed,

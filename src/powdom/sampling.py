@@ -13,7 +13,7 @@ import random
 import zlib
 from fractions import Fraction
 
-from .extnum import ExtNN, INF, ZERO
+from .extnum import ExtNN, INF
 
 # grid used by the two-phase law checks on the extended rationals
 LAW_GRID = (
@@ -40,6 +40,11 @@ MONOID_GRID = (
 # absorption conventions)
 SCALAR_GRID = LAW_GRID
 
+# modes recorded on every check: exhaustive over a finite carrier, or the
+# two-phase grid-then-seeded-samples check on the extended rationals
+EXHAUSTIVE = "exhaustive"
+SAMPLED = "grid+samples"
+
 DEFAULT_SEED = 42
 DEFAULT_TRIALS = 10_000
 DEFAULT_SIZE_GUARD = 5_000_000
@@ -61,13 +66,6 @@ def random_extnn(rng: random.Random) -> ExtNN:
     num = rng.randrange(0, 25)
     den = rng.randrange(1, 13)
     return ExtNN._wrap(Fraction(num, den))
-
-
-def random_positive_extnn(rng: random.Random) -> ExtNN:
-    while True:
-        v = random_extnn(rng)
-        if v != ZERO:
-            return v
 
 
 def random_monotone_values(poset, rng: random.Random):

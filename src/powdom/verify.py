@@ -27,44 +27,51 @@ from .algebra import (
     is_homomorphism,
     is_relaxed_entropic,
     is_relaxed_morphism,
+    lift_pointwise,
     scalar_action,
     subcommutes,
 )
 from .extnum import ONE, ZERO
-from .funcspace import compose, enumerate_monotone, precompose
+from .funcspace import MonoMap, compose, enumerate_monotone, precompose
 from .monad import (
     all_predicate_transformers,
     all_state_transformers,
     check_monad_laws,
     delta,
     functional_space,
+    kleisli_lift,
     p_transform,
     q_transform,
 )
-from .poset import all_down_sets, all_up_sets, poset_from_cover
+from .poset import all_down_sets, all_up_sets, poset_from_cover, sub_poset
 from .powerdomain import (
-    check_sublinear,
-    check_superlinear,
+    ENVELOPES,
+    SET_POWERDOMAINS,
+    check_linear_side,
     chi,
     cone_combine,
-    hoare_powerdomain,
     pred_add,
-    pred_scale,
     random_predicate,
-    smyth_powerdomain,
     sobrification,
     valuation_leq,
+    valuations_linear,
 )
 from .report import Report
 from .sampling import (
     DEFAULT_SEED,
     DEFAULT_SIZE_GUARD,
     DEFAULT_TRIALS,
+    EXHAUSTIVE,
     MONOID_GRID,
+    SAMPLED,
     SCALAR_GRID,
+    derive_seed,
     random_extnn,
     task_rng,
 )
+
+# the algebra and monad sections look up the catalog posets one, C2 and A2
+MIN_CATALOG_MAX = 2
 
 
 @dataclass
@@ -85,7 +92,7 @@ class SuiteConfig:
         return task_rng(self.seed, label)
 
 
-def _outcome(name, ok, mode="exhaustive", witness=None):
+def _outcome(name, ok, mode=EXHAUSTIVE, witness=None):
     return CheckOutcome(name, ok, mode, witness)
 
 
@@ -101,19 +108,19 @@ def check_extnum(cfg: SuiteConfig):
         tuple(random_extnn(rng) for _ in range(3)) for _ in range(cfg.trials)
     ]
     ok = all(a + (b + c) == (a + b) + c for a, b, c in triples)
-    checks.append(_outcome("extnum.add-associative", ok, "grid+samples"))
+    checks.append(_outcome("extnum.add-associative", ok, SAMPLED))
     ok = all(a + b == b + a for a, b, _ in triples)
-    checks.append(_outcome("extnum.add-commutative", ok, "grid+samples"))
+    checks.append(_outcome("extnum.add-commutative", ok, SAMPLED))
     ok = all(a + ZERO == a for a, _, _ in triples)
-    checks.append(_outcome("extnum.add-unit", ok, "grid+samples"))
+    checks.append(_outcome("extnum.add-unit", ok, SAMPLED))
     ok = all(a * (b + c) == a * b + a * c for a, b, c in triples)
-    checks.append(_outcome("extnum.mul-distributes", ok, "grid+samples"))
+    checks.append(_outcome("extnum.mul-distributes", ok, SAMPLED))
     ok = all(
         (a * b <= a * c) and (b * a <= c * a) and (a + b <= a + c)
         for a, b, c in triples
         if b <= c
     )
-    checks.append(_outcome("extnum.ops-monotone", ok, "grid+samples"))
+    checks.append(_outcome("extnum.ops-monotone", ok, SAMPLED))
     return checks
 
 
@@ -244,7 +251,7 @@ def check_algebra_laws(cfg: SuiteConfig):
                 b = commutes(alg, o, s, cfg.rng(f"sym.{name}.{o}.{s}"), cfg.trials // 10)
                 if a.passed != b.passed:
                     sym_ok = False
-    checks.append(_outcome("algebra.interchange-symmetric", sym_ok, "grid+samples"))
+    checks.append(_outcome("algebra.interchange-symmetric", sym_ok, SAMPLED))
 
     # the mixed inequational laws backing the sublinear/superlinear checks
     sub1 = subcommutes(algs["rplus_max"], "max", "add", cfg.rng("sub.max.add"), cfg.trials)
@@ -288,8 +295,8 @@ def check_algebra_laws(cfg: SuiteConfig):
         bigger = tuple(sorted(set(gens) | {gen_rng.randrange(n)})) if n else gens
         if not set(closed) <= set(generated_subalgebra(lifted, bigger)):
             mono_ok = False
-    checks.append(_outcome("algebra.closure-idempotent", idem_ok, "grid+samples"))
-    checks.append(_outcome("algebra.closure-monotone", mono_ok, "grid+samples"))
+    checks.append(_outcome("algebra.closure-idempotent", idem_ok, SAMPLED))
+    checks.append(_outcome("algebra.closure-monotone", mono_ok, SAMPLED))
     return checks
 
 
@@ -321,8 +328,6 @@ def check_monad(cfg: SuiteConfig):
     for r in two_algs:
         for x in small:
             for y in small:
-                from .monad import kleisli_lift  # local import keeps heads light
-
                 xs = functional_space(x, r, cfg.size_guard)
                 ys = functional_space(y, r, cfg.size_guard)
                 for t in all_state_transformers(x, ys, None, cfg.size_guard):
@@ -404,9 +409,6 @@ def check_monad(cfg: SuiteConfig):
     checks.append(_outcome("monad.free-inside-relaxed.2_ang_le", ok))
 
     # the unit on an algebra is op-preserving into the hom functionals
-    from .funcspace import MonoMap
-    from .poset import sub_poset
-
     for aname in ("2_ang", "2_dem", "lattice2"):
         a = algs[aname]
         expo = enumerate_monotone(a.carrier, a.carrier, cfg.size_guard)
@@ -414,8 +416,6 @@ def check_monad(cfg: SuiteConfig):
             i for i, m in enumerate(expo.maps) if is_homomorphism(m, a, a)
         ]
         hom_poset = sub_poset(expo.poset, hom_idx)
-        from .algebra import lift_pointwise
-
         lifted = lift_pointwise(a, hom_poset, cfg.size_guard)
         table = tuple(
             lifted.expo.index(
@@ -484,26 +484,16 @@ def check_powerdomains(cfg: SuiteConfig):
     algs = catalog.builtin_algebras()
     posets = cfg.posets()
     for name, poset in posets.items():
-        hoare = hoare_powerdomain(poset, algs["2_ang"], cfg.size_guard)
-        count_ok = len(hoare.functionals) == len(
-            all_down_sets(poset, cfg.size_guard)
-        )
-        checks.append(
-            _outcome(
-                f"powerdomain.hoare.{name}",
-                hoare.passed and count_ok,
-                witness=None if hoare.passed else hoare.as_record(),
+        for side, build in SET_POWERDOMAINS.values():
+            result = build(poset, algs[side.algebra], cfg.size_guard)
+            count_ok = len(result.functionals) == len(side.sets(poset, cfg.size_guard))
+            checks.append(
+                _outcome(
+                    f"powerdomain.{side.kind}.{name}",
+                    result.passed and count_ok,
+                    witness=None if result.passed else result.as_record(),
+                )
             )
-        )
-        smyth = smyth_powerdomain(poset, algs["2_dem"], cfg.size_guard)
-        count_ok = len(smyth.functionals) == len(all_up_sets(poset, cfg.size_guard))
-        checks.append(
-            _outcome(
-                f"powerdomain.smyth.{name}",
-                smyth.passed and count_ok,
-                witness=None if smyth.passed else smyth.as_record(),
-            )
-        )
         points, sober_checks = sobrification(poset, algs["frame2"], cfg.size_guard)
         checks.append(
             _outcome(
@@ -526,15 +516,8 @@ def check_valuations(cfg: SuiteConfig):
         chis = [chi(u) for u in all_up_sets(poset, cfg.size_guard)]
         rng = cfg.rng(f"valuation.linearity.{name}")
         preds = chis + [random_predicate(poset, rng) for _ in range(1000)]
-        for mu in vals:
-            for f in chis:
-                for g in chis:
-                    if mu(pred_add(f, g)) != mu(f) + mu(g):
-                        lin_ok = False
-            for f in preds:
-                for r in SCALAR_GRID:
-                    if mu(pred_scale(r, f)) != r * mu(f):
-                        lin_ok = False
+        if not valuations_linear(vals, chis, preds):
+            lin_ok = False
         for f, g in zip(preds[::2], preds[1::2]):
             for mu in vals[:4]:
                 if mu(pred_add(f, g)) != mu(f) + mu(g):
@@ -572,9 +555,9 @@ def check_valuations(cfg: SuiteConfig):
                             cone_ok = False
                 if mu.scale(ZERO).atoms != ():
                     cone_ok = False
-    checks.append(_outcome("valuation.linear", lin_ok, "grid+samples"))
-    checks.append(_outcome("valuation.order-oracle-agrees", agree_ok, "grid+samples"))
-    checks.append(_outcome("valuation.cone-laws", cone_ok, "grid+samples"))
+    checks.append(_outcome("valuation.linear", lin_ok, SAMPLED))
+    checks.append(_outcome("valuation.order-oracle-agrees", agree_ok, SAMPLED))
+    checks.append(_outcome("valuation.cone-laws", cone_ok, SAMPLED))
 
     module = check_module_axioms(
         scalar_action(algs["rplus"]),
@@ -594,21 +577,19 @@ def check_valuations(cfg: SuiteConfig):
 
 
 def check_mixed(cfg: SuiteConfig):
+    """Each catalog envelope passes its side's laws, on its own sampled stream."""
     checks = []
     posets = cfg.posets()
-    sub_ok = sup_ok = True
-    for name, poset in posets.items():
-        trials = max(cfg.trials // 10, 100)
-        for i, phi in enumerate(catalog.catalog_subfns(poset, cap=6)):
-            report = check_sublinear(phi, trials, cfg.seed, cfg.size_guard)
-            if not report.passed:
-                sub_ok = False
-        for i, phi in enumerate(catalog.catalog_supfns(poset, cap=6)):
-            report = check_superlinear(phi, trials, cfg.seed, cfg.size_guard)
-            if not report.passed:
-                sup_ok = False
-    checks.append(_outcome("mixed.subfns-sublinear", sub_ok, "grid+samples"))
-    checks.append(_outcome("mixed.supfns-superlinear", sup_ok, "grid+samples"))
+    trials = max(cfg.trials // 10, 100)
+    for envelope in ENVELOPES:
+        side = envelope.side
+        ok = True
+        for name, poset in posets.items():
+            for i, phi in enumerate(catalog.catalog_envelopes(poset, envelope, cap=6)):
+                seed = derive_seed(cfg.seed, f"mixed.{side.name}.{name}.{i}")
+                if not check_linear_side(phi, side, trials, seed, cfg.size_guard).passed:
+                    ok = False
+        checks.append(_outcome(f"mixed.{side.keyword}s-{side.name}", ok, SAMPLED))
     return checks
 
 

@@ -288,3 +288,30 @@ class TestCli:
         out = capsys.readouterr().out
         assert code == 0
         assert json.loads(out)["verdict"] == "pass"
+
+
+def test_transformer_prints_its_own_algebra_name(tmp_path, capsys):
+    # frame2 and lattice2 compare equal as algebras; a space built for one
+    # must not be handed out for the other
+    body = (
+        "at bot { [0,0] -> 0; [0,1] -> 0; [1,1] -> 1 }\n"
+        "at top { [0,0] -> 0; [0,1] -> 1; [1,1] -> 1 }\n"
+        "end\n"
+    )
+    defs = tmp_path / "pair.defs"
+    defs.write_text(
+        "transformer tf : C2 -> C2 with frame2\n" + body
+        + "transformer tl : C2 -> C2 with lattice2\n" + body,
+        encoding="utf-8",
+    )
+    assert main(["transform", "p2q", "tl", "-f", str(defs)]) == 0
+    result = json.loads(capsys.readouterr().out)["result"]
+    assert result.splitlines()[0] == "ptransformer tl_p : C2 -> C2 with lattice2"
+
+
+@pytest.mark.parametrize("value", ["1", "0"])
+def test_verify_suite_refuses_too_small_catalog(value):
+    proc = run_cli(["verify-suite", "--catalog-max", value])
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == "error: --catalog-max must be at least 2\n"

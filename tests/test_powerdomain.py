@@ -294,3 +294,44 @@ class TestPredAlgebra:
         lifted = PredAlgebra(ALGS["rplus_max"], C2)
         singles = list(lifted.grid_tuples(1))
         assert len(singles) == len(all_up_sets(C2))
+
+
+def _order_dual(poset):
+    """X^op: the same labels with the <= matrix transposed."""
+    n = poset.size
+    return catalog.FinPoset(
+        poset.labels, tuple(tuple(poset.leq[j][i] for j in range(n)) for i in range(n))
+    )
+
+
+def _labelled_order(poset, flip=False):
+    labs = poset.labels
+    return {
+        (labs[j], labs[i]) if flip else (labs[i], labs[j])
+        for i in range(poset.size)
+        for j in range(poset.size)
+        if poset.leq[i][j]
+    }
+
+
+class TestHoareSmythDuality:
+    @pytest.mark.parametrize("name", sorted(POSETS))
+    def test_smyth_is_dual_of_hoare_on_the_opposite(self, name):
+        # up-sets of X under reverse inclusion are the down-sets of X^op
+        # under inclusion, turned upside down
+        x = POSETS[name]
+        smyth = smyth_powerdomain(x, ALGS["2_dem"])
+        hoare_op = hoare_powerdomain(_order_dual(x), ALGS["2_ang"])
+        assert smyth.passed and hoare_op.passed
+        assert _labelled_order(smyth.set_poset) == _labelled_order(
+            hoare_op.set_poset, flip=True
+        )
+        assert len(smyth.functionals) == len(hoare_op.functionals)
+
+
+def test_max_of_diracs_fails_superadditivity():
+    phi = SubFn((dirac(A2, 0), dirac(A2, 1)))
+    report = check_superlinear(phi, trials=50, seed=42)
+    failed = [c for c in report.checks if not c.passed]
+    assert "superadditive" in {c.name for c in failed}
+    assert all(c.witness for c in failed)

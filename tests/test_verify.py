@@ -73,3 +73,25 @@ def test_suite_sections_are_registered():
         "valuation",
         "mixed",
     ]
+
+
+def test_mixed_functionals_draw_distinct_streams(monkeypatch):
+    # every catalog envelope of every poset gets its own seed
+    import powdom.verify as verify_mod
+
+    seeds = []
+
+    def recording(phi, side, trials, seed, size_guard):
+        seeds.append(seed)
+        return Report("stub", {})
+
+    monkeypatch.setattr(verify_mod, "check_linear_side", recording)
+    cfg = SuiteConfig(seed=42, trials=50, catalog_max=2)
+    checks = verify_mod.check_mixed(cfg)
+    assert all(c.passed for c in checks)
+    expected = sum(
+        len(catalog.catalog_subfns(p, cap=6)) + len(catalog.catalog_supfns(p, cap=6))
+        for p in cfg.posets().values()
+    )
+    assert len(seeds) == expected
+    assert len(set(seeds)) == len(seeds)
