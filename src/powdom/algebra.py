@@ -19,6 +19,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 from .errors import (
     ArityMismatch,
@@ -100,18 +101,26 @@ class FinAlgebra:
         self.tables = {sym: dict(tbl) for sym, tbl in tables.items()}
         self.expo = expo  # set when this algebra was built by pointwise lifting
         self._validate()
-        self._key = (
-            carrier,
-            signature,
+
+    @cached_property
+    def _key(self):
+        # built on first comparison or hash only: a lifted algebra's tables
+        # hold |carrier|^arity entries, and most are never compared
+        return (
+            self.carrier,
+            self.signature,
             tuple(
                 (sym, tuple(sorted(self.tables[sym].items())))
-                for sym in signature.symbols()
+                for sym in self.signature.symbols()
             ),
         )
 
     def _validate(self):
         n = self.carrier.size
-        covers = self.carrier.covers()
+        leq = self.carrier.leq
+        above = [[] for _ in range(n)]  # upper covers of each element
+        for lo, hi in self.carrier.covers():
+            above[lo].append(hi)
         for op in self.signature.ops:
             if op.parametric:
                 raise PowdomError("finite algebras cannot carry parametric op families")
@@ -130,12 +139,11 @@ class FinAlgebra:
             # monotone in each argument: stepping one coordinate up a cover
             # edge may only move the result up
             for args in itertools.product(range(n), repeat=op.arity):
+                result_row = leq[table[args]]
                 for pos in range(op.arity):
-                    for lo, hi in covers:
-                        if args[pos] != lo:
-                            continue
+                    for hi in above[args[pos]]:
                         bumped = args[:pos] + (hi,) + args[pos + 1 :]
-                        if not self.carrier.leq[table[args]][table[bumped]]:
+                        if not result_row[table[bumped]]:
                             raise PowdomError(
                                 f"operation {op.symbol} is not monotone at {args} -> {bumped}"
                             )
@@ -262,18 +270,25 @@ class RatAlgebra:
 
 
 def lift_pointwise(algebra: FinAlgebra, base: FinPoset, size_guard: int = DEFAULT_SIZE_GUARD) -> FinAlgebra:
-    """The algebra on the exponential [base -> carrier], ops applied pointwise."""
+    """The algebra on the exponential [base -> carrier], ops applied pointwise.
+
+    Each entry reads the base op table directly on the zipped argument
+    tables.  The lifted algebra is then validated in full like any other
+    FinAlgebra: every entry present and in range, and every op monotone in
+    each argument along the upper covers of the carrier.
+    """
     expo = enumerate_monotone(base, algebra.carrier, size_guard)
-    n = base.size
+    rows = [m.table for m in expo.maps]
     tables = {}
     for op in algebra.signature.ops:
-        table = {}
-        for args in itertools.product(range(len(expo)), repeat=op.arity):
-            result = tuple(
-                algebra.apply(op.symbol, tuple(expo.maps[a].table[x] for a in args))
-                for x in range(n)
-            )
-            table[args] = expo.index(result)
+        base_table = algebra.tables[op.symbol]
+        if op.arity == 0:
+            table = {(): expo.index((base_table[()],) * base.size)}
+        else:
+            table = {}
+            for args in itertools.product(range(len(rows)), repeat=op.arity):
+                result = tuple(map(base_table.__getitem__, zip(*[rows[a] for a in args])))
+                table[args] = expo.index(result)
         tables[op.symbol] = table
     return FinAlgebra(
         f"{algebra.name}^[{base.size}]", expo.poset, algebra.signature, tables, expo=expo

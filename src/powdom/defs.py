@@ -157,6 +157,15 @@ class Workspace:
     def define(self, table, kind, name, value, path, line):
         if name in table:
             raise ParseError(path, line, f"{kind} {name!r} is already defined")
+        # valuations, subfns and supfns share one namespace, so that a name
+        # given to ``valuation --against`` picks out one functional
+        shared = [("valuation", self.valuations), *self.envelopes.items()]
+        if any(table is other for _, other in shared):
+            for other_kind, other in shared:
+                if name in other:
+                    raise ParseError(
+                        path, line, f"{kind} {name!r} is already defined as a {other_kind}"
+                    )
         table[name] = value
 
     def load_file(self, path):

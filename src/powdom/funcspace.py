@@ -89,7 +89,8 @@ class ExpPoset:
     """All monotone maps X -> Y with the pointwise order, as a poset.
 
     Maps are listed in ascending lexicographic order of their tables; the
-    materialised poset uses the tables as element labels.
+    materialised poset uses the tables as element labels, and its order is
+    read pointwise off the tables and the target's order.
     """
 
     def __init__(self, source: FinPoset, target: FinPoset, maps):
@@ -98,9 +99,12 @@ class ExpPoset:
         self.maps = tuple(maps)
         self._by_table = {m.table: i for i, m in enumerate(self.maps)}
         labels = tuple(m.key() for m in self.maps)
-        leq = tuple(
-            tuple(a.leq(b) for b in self.maps) for a in self.maps
-        )
+        tables = [m.table for m in self.maps]
+        leq = []
+        for a in tables:
+            # a <= b when target.leq[a[x]][b[x]] holds at every point x
+            rows = [target.leq[v] for v in a]
+            leq.append(tuple(all(map(tuple.__getitem__, rows, b)) for b in tables))
         self.poset = FinPoset(labels, leq)
 
     def __len__(self):

@@ -27,7 +27,12 @@ from .sampling import DEFAULT_SIZE_GUARD
 class FinPoset:
     """A finite poset: element labels plus a boolean <= matrix.
 
-    The matrix is validated at construction.  Equality and hashing are by
+    The matrix is validated at construction, derived posets included.  Each
+    row is first packed into a bitmask (``up[i]`` holds every j with
+    i <= j); transitivity is then one mask test per related pair,
+    ``up[j] & ~up[i]``, so validation takes O(n^2) big-int operations.
+    Pairs are visited row by row, so the first violation found (and its
+    message) is that of the element-wise scan.  Equality and hashing are by
     presentation (labels and matrix), so two posets built the same way are
     interchangeable, while merely isomorphic posets are not.
     """
@@ -37,7 +42,7 @@ class FinPoset:
 
     def __post_init__(self):
         labels = tuple(self.labels)
-        leq = tuple(tuple(bool(v) for v in row) for row in self.leq)
+        leq = tuple(tuple(map(bool, row)) for row in self.leq)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "leq", leq)
         n = len(labels)
@@ -45,17 +50,20 @@ class FinPoset:
             raise DuplicateLabel(f"duplicate element labels in {labels}")
         if len(leq) != n or any(len(row) != n for row in leq):
             raise InvalidOrder("relation matrix shape does not match element count")
+        up = tuple(_row_mask(row) for row in leq)
         for i in range(n):
             if not leq[i][i]:
                 raise InvalidOrder(f"relation not reflexive at {labels[i]}")
-            for j in range(n):
-                if leq[i][j] and leq[j][i] and i != j:
+            up_i = up[i]
+            for j in _bits(up_i):
+                if j != i and leq[j][i]:
                     raise InvalidOrder(
                         f"relation not antisymmetric on {labels[i]}, {labels[j]}"
                     )
-                for k in range(n):
-                    if leq[i][j] and leq[j][k] and not leq[i][k]:
-                        raise InvalidOrder(f"relation not transitive via {labels[j]}")
+                if up[j] & ~up_i:
+                    raise InvalidOrder(f"relation not transitive via {labels[j]}")
+        object.__setattr__(self, "_up", up)
+        object.__setattr__(self, "_covers", None)
 
     @property
     def size(self) -> int:
@@ -77,20 +85,26 @@ class FinPoset:
         return self.leq[self.index(a)][self.index(b)]
 
     def covers(self):
-        """Cover pairs (i, j): j covers i, i.e. i < j with nothing in between."""
-        n = self.size
-        out = []
-        for i in range(n):
-            for j in range(n):
-                if i == j or not self.leq[i][j]:
-                    continue
-                if any(
-                    self.leq[i][k] and self.leq[k][j] and k != i and k != j
-                    for k in range(n)
-                ):
-                    continue
-                out.append((i, j))
-        return out
+        """Cover pairs (i, j): j covers i, i.e. i < j with nothing in between.
+
+        Computed once per poset from the row bitmasks (j covers i when the
+        strict up-set of i and the strict down-set of j are disjoint) and
+        cached; the tuple lists the pairs in ascending (i, j) order.
+        """
+        if self._covers is None:
+            up = self._up
+            down = [0] * self.size
+            for i, row in enumerate(up):
+                for j in _bits(row):
+                    down[j] |= 1 << i
+            out = []
+            for i, row in enumerate(up):
+                strict_up = row & ~(1 << i)
+                for j in _bits(strict_up):
+                    if not strict_up & down[j] & ~(1 << j):
+                        out.append((i, j))
+            object.__setattr__(self, "_covers", tuple(out))
+        return self._covers
 
     def linear_extension(self):
         """Element indices sorted bottom-up, stable on incomparable elements."""
@@ -119,9 +133,7 @@ class FinPoset:
     def up_mask(self, indices) -> int:
         mask = 0
         for i in indices:
-            for j in range(self.size):
-                if self.leq[i][j]:
-                    mask |= 1 << j
+            mask |= self._up[i]
         return mask
 
     def dot(self, name: str = "poset") -> str:
@@ -129,10 +141,27 @@ class FinPoset:
         lines = [f'digraph "{name}" {{', "  rankdir=BT;"]
         for label in self.labels:
             lines.append(f'  "{label}";')
-        for i, j in sorted(self.covers()):
+        for i, j in self.covers():
             lines.append(f'  "{self.labels[i]}" -> "{self.labels[j]}";')
         lines.append("}")
         return "\n".join(lines) + "\n"
+
+
+def _row_mask(row) -> int:
+    """Bitmask of the True positions of a boolean row (bit j for row[j])."""
+    mask = 0
+    for j, v in enumerate(row):
+        if v:
+            mask |= 1 << j
+    return mask
+
+
+def _bits(mask: int):
+    """Positions of the set bits of a mask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def poset_from_cover(labels, cover_pairs) -> FinPoset:
@@ -207,21 +236,12 @@ class ElemSet:
 
 
 def _is_up_closed(poset: FinPoset, mask: int) -> bool:
-    for i in range(poset.size):
-        if mask >> i & 1:
-            for j in range(poset.size):
-                if poset.leq[i][j] and not mask >> j & 1:
-                    return False
-    return True
+    return not any(poset._up[i] & ~mask for i in _bits(mask))
 
 
 def _is_down_closed(poset: FinPoset, mask: int) -> bool:
-    for i in range(poset.size):
-        if mask >> i & 1:
-            for j in range(poset.size):
-                if poset.leq[j][i] and not mask >> j & 1:
-                    return False
-    return True
+    # a set is down-closed exactly when its complement is up-closed
+    return _is_up_closed(poset, ((1 << poset.size) - 1) & ~mask)
 
 
 def _guard_subsets(n: int, size_guard: int) -> int:

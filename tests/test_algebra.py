@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -35,8 +36,9 @@ from powdom.errors import (
     UnknownOp,
 )
 from powdom.extnum import INF, ONE, ZERO, ExtNN
-from powdom.funcspace import MonoMap, identity_map
+from powdom.funcspace import MonoMap, enumerate_monotone, identity_map
 from powdom.monad import functional_space
+from powdom.poset import poset_from_cover
 from powdom.powerdomain import PredAlgebra, SubFn, dirac
 from powdom.sampling import task_rng
 
@@ -386,3 +388,78 @@ class TestConstruction:
         assert alg.apply("scale", (ZERO,), INF) == ZERO
         assert alg.apply("scale", (INF,), ZERO) == ZERO
         assert alg.apply("scale", (ExtNN(2),), INF) == INF
+
+
+# ---------------------------------------------------------------------------
+# lifted structures against element-wise references
+
+
+def reference_lift_tables(algebra, base):
+    """Independent oracle: every entry by per-point ``apply`` and ``index``."""
+    expo = enumerate_monotone(base, algebra.carrier)
+    tables = {}
+    for op in algebra.signature.ops:
+        table = {}
+        for args in itertools.product(range(len(expo)), repeat=op.arity):
+            result = tuple(
+                algebra.apply(op.symbol, tuple(expo.maps[a].table[x] for a in args))
+                for x in range(base.size)
+            )
+            table[args] = expo.index(result)
+        tables[op.symbol] = table
+    return expo, tables
+
+
+def _assert_lift_matches(algebra, base):
+    lifted = lift_pointwise(algebra, base)
+    expo, tables = reference_lift_tables(algebra, base)
+    assert lifted.tables == tables
+    assert [m.table for m in lifted.expo.maps] == [m.table for m in expo.maps]
+    maps = expo.maps
+    assert lifted.carrier.leq == tuple(
+        tuple(a.leq(b) for b in maps) for a in maps
+    )
+
+
+FINITE_ALGS = sorted(k for k, a in ALGS.items() if isinstance(a, FinAlgebra))
+SMALL_POSETS = sorted(k for k, p in POSETS.items() if p.size <= 3)
+
+
+class TestLiftOracle:
+    @pytest.mark.parametrize("alg", FINITE_ALGS)
+    @pytest.mark.parametrize("poset", SMALL_POSETS)
+    def test_catalog(self, alg, poset):
+        _assert_lift_matches(ALGS[alg], POSETS[poset])
+
+    def test_two_ang_functionals_on_a4(self):
+        a4 = poset_from_cover(("a", "b", "c", "d"), ())
+        preds = lift_pointwise(ALGS["2_ang"], a4).carrier
+        _assert_lift_matches(ALGS["2_ang"], preds)
+
+    @pytest.mark.parametrize("n, count", [(1, 3), (2, 6), (3, 20), (4, 168)])
+    def test_dedekind_counts(self, n, count):
+        # monotone maps 2^n -> 2 are counted by the Dedekind numbers M(n),
+        # https://oeis.org/A000372
+        antichain = poset_from_cover(tuple("abcd"[:n]), ())
+        assert len(functional_space(antichain, ALGS["2_ang"]).space) == count
+
+
+class TestMonotoneDiagnostics:
+    """The first failing cover step, and its message, for hand-built tables."""
+
+    def test_join_on_c2(self):
+        sig = Signature((OpSpec("join", 2, OpTag.EQ),))
+        table = {(0, 0): 0, (0, 1): 1, (1, 0): 1, (1, 1): 0}
+        with pytest.raises(PowdomError) as err:
+            FinAlgebra("bad", POSETS["C2"], sig, {"join": table})
+        assert str(err.value) == "operation join is not monotone at (0, 1) -> (1, 1)"
+
+    def test_second_position_second_cover(self):
+        # on the vee, bot is covered by l then r; only bumping the second
+        # argument to r breaks monotonicity at (bot, bot)
+        sig = Signature((OpSpec("g", 2, OpTag.EQ),))
+        table = {(i, j): 0 for i in range(3) for j in range(3)}
+        table.update({(0, 0): 1, (1, 0): 1, (2, 0): 1, (0, 1): 1, (0, 2): 2})
+        with pytest.raises(PowdomError) as err:
+            FinAlgebra("bad", POSETS["vee"], sig, {"g": table})
+        assert str(err.value) == "operation g is not monotone at (0, 0) -> (0, 2)"

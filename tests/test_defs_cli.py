@@ -315,3 +315,19 @@ def test_verify_suite_refuses_too_small_catalog(value):
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr == "error: --catalog-max must be at least 2\n"
+
+
+def test_valuation_and_envelopes_share_one_namespace(tmp_path):
+    defs = tmp_path / "clash.defs"
+    defs.write_text(
+        "valuation phi on A2 val { 1 @ a }\n"
+        "subfn phi on A2 sup{ val{ 1 @ a }; val{ 1 @ b } }\n"
+        "supfn phi on A2 inf{ val{ 1 @ a }; val{ 1 @ b } }\n",
+        encoding="utf-8",
+    )
+    proc = run_cli(["valuation", "phi", "--against", "phi", "-f", str(defs)])
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == (
+        f"error: {defs}:2: subfn 'phi' is already defined as a valuation\n"
+    )

@@ -4,8 +4,17 @@ import pytest
 from hypothesis import given, strategies as st
 
 from powdom import catalog
-from powdom.errors import CycleDetected, DuplicateLabel, SizeGuardExceeded, UnknownLabel
+from powdom.errors import (
+    CycleDetected,
+    DuplicateLabel,
+    InvalidOrder,
+    SizeGuardExceeded,
+    UnknownLabel,
+)
+from powdom.funcspace import enumerate_monotone
+from powdom.monad import functional_space
 from powdom.poset import (
+    FinPoset,
     all_down_sets,
     all_up_sets,
     is_order_iso,
@@ -201,3 +210,90 @@ class TestTools:
                 for j in range(poset.size):
                     if poset.leq[i][j]:
                         assert pos[i] <= pos[j]
+
+
+# ---------------------------------------------------------------------------
+# covers() against the element-wise scan, and the validator's diagnostics
+
+
+def brute_covers(poset):
+    """Independent oracle: i < j with no k strictly in between, O(n^3)."""
+    n = poset.size
+    return [
+        (i, j)
+        for i in range(n)
+        for j in range(n)
+        if i != j
+        and poset.leq[i][j]
+        and not any(
+            poset.leq[i][k] and poset.leq[k][j] and k not in (i, j) for k in range(n)
+        )
+    ]
+
+
+def _derived_posets():
+    a3 = poset_from_cover(("a", "b", "c"), ())
+    preds = enumerate_monotone(POSETS["A2"], catalog.TWO).poset
+    funcs = functional_space(a3, catalog.builtin_algebras()["2_ang"]).space.poset
+    return {"[A2 -> 2]": preds, "[[A3 -> 2] -> 2]": funcs}
+
+
+def _assert_covers_match(poset):
+    first = poset.covers()
+    assert isinstance(first, tuple)
+    assert list(first) == brute_covers(poset)
+    assert poset.covers() == first
+
+
+class TestCoversOracle:
+    @pytest.mark.parametrize("name", sorted(POSETS))
+    def test_catalog(self, name):
+        _assert_covers_match(POSETS[name])
+
+    def test_derived(self):
+        derived = _derived_posets()
+        assert derived["[[A3 -> 2] -> 2]"].size == 20
+        for poset in derived.values():
+            _assert_covers_match(poset)
+
+
+@given(small_posets())
+def test_covers_match_oracle_random(poset):
+    _assert_covers_match(poset)
+
+
+T, F = True, False
+
+
+class TestOrderDiagnostics:
+    """The first violation found, and its message, for hand-built matrices."""
+
+    @pytest.mark.parametrize(
+        "labels, leq, message",
+        [
+            (("a", "b"), ((T, F), (F, F)), "relation not reflexive at b"),
+            (("a", "b"), ((T, T), (T, T)), "relation not antisymmetric on a, b"),
+            (
+                ("a", "b", "c"),
+                ((T, T, F), (F, T, T), (F, F, T)),
+                "relation not transitive via b",
+            ),
+            # c is not reflexive, but the row of a is scanned first
+            (
+                ("a", "b", "c"),
+                ((T, T, F), (F, T, T), (F, F, F)),
+                "relation not transitive via b",
+            ),
+            # a <= c <= b, d fails with a 2-cycle on b, c and an irreflexive d
+            (
+                ("a", "b", "c", "d"),
+                ((T, F, T, F), (F, T, T, F), (F, T, T, T), (F, F, F, F)),
+                "relation not transitive via c",
+            ),
+        ],
+    )
+    def test_first_violation(self, labels, leq, message):
+        with pytest.raises(InvalidOrder) as err:
+            FinPoset(labels, leq)
+        assert type(err.value) is InvalidOrder
+        assert str(err.value) == message
