@@ -136,6 +136,13 @@ class FinAlgebra:
                     raise UnknownElement(
                         f"table for {op.symbol} maps {args} outside the carrier"
                     )
+            if len(table) != n**op.arity:
+                # every tuple of carrier^arity is present, so a key is stray
+                expected = set(itertools.product(range(n), repeat=op.arity))
+                stray = next(k for k in table if k not in expected)
+                raise ArityMismatch(
+                    f"table for {op.symbol} has entry {stray} outside carrier^{op.arity}"
+                )
             # monotone in each argument: stepping one coordinate up a cover
             # edge may only move the result up
             for args in itertools.product(range(n), repeat=op.arity):
@@ -301,34 +308,22 @@ def lift_pointwise(algebra: FinAlgebra, base: FinPoset, size_guard: int = DEFAUL
 
 @dataclass
 class CheckOutcome:
-    """Result of one law check; truthy iff the law held on every instance."""
+    """One verdict; truthy iff the law held on every instance.
+
+    A leaf carries its own verdict and, on failure, a witness.  A composite
+    lists its sub-checks in ``checks``, and its verdict is their AND.
+    """
 
     name: str
     passed: bool
-    mode: str
+    mode: str = EXHAUSTIVE
     witness: dict | None = None
+    checks: tuple = ()
 
-    def __bool__(self):
-        return self.passed
-
-    def as_record(self):
-        return {
-            "name": self.name,
-            "verdict": "pass" if self.passed else "fail",
-            "mode": self.mode,
-            "witness": self.witness,
-        }
-
-
-@dataclass
-class PairwiseReport:
-    """Commutation matrix over all ordered op pairs plus an overall verdict."""
-
-    name: str
-    algebra: str
-    checks: list
-    passed: bool
-    mode: str
+    @classmethod
+    def composite(cls, name, checks, mode):
+        checks = tuple(checks)
+        return cls(name, all(c.passed for c in checks), mode, checks=checks)
 
     def __bool__(self):
         return self.passed
@@ -337,13 +332,15 @@ class PairwiseReport:
         return [c for c in self.checks if not c.passed]
 
     def as_record(self):
-        return {
+        record = {
             "name": self.name,
-            "algebra": self.algebra,
             "verdict": "pass" if self.passed else "fail",
             "mode": self.mode,
-            "pairs": [c.as_record() for c in self.checks],
+            "witness": self.witness,
         }
+        if self.checks:
+            record["checks"] = [c.as_record() for c in self.checks]
+        return record
 
 
 def _require_same_signature(b, r):
@@ -430,7 +427,7 @@ def supercommutes(algebra, sigma: str, omega: str, rng=None, trials=0) -> CheckO
     return _interchange_check(algebra, sigma, omega, "ge", rng, trials, f"supercommutes:{sigma},{omega}")
 
 
-def is_entropic(algebra, rng=None, trials=0) -> PairwiseReport:
+def is_entropic(algebra, rng=None, trials=0) -> CheckOutcome:
     """Do all ordered op pairs satisfy the interchange law?
 
     Nullary symbols ride along: for constants the law degenerates to
@@ -441,12 +438,10 @@ def is_entropic(algebra, rng=None, trials=0) -> PairwiseReport:
     for sigma in algebra.signature.symbols():
         for omega in algebra.signature.symbols():
             checks.append(commutes(algebra, sigma, omega, rng, trials))
-    return PairwiseReport(
-        "entropic", algebra.name, checks, all(c.passed for c in checks), algebra.check_mode
-    )
+    return CheckOutcome.composite("entropic", checks, algebra.check_mode)
 
 
-def is_relaxed_entropic(algebra, rng=None, trials=0) -> PairwiseReport:
+def is_relaxed_entropic(algebra, rng=None, trials=0) -> CheckOutcome:
     """Does every op subcommute with LE-tagged and supercommute with GE-tagged ops?"""
     checks = []
     for sigma in algebra.signature.symbols():
@@ -455,13 +450,7 @@ def is_relaxed_entropic(algebra, rng=None, trials=0) -> PairwiseReport:
                 checks.append(subcommutes(algebra, sigma, omega_spec.symbol, rng, trials))
             if omega_spec.oplax:
                 checks.append(supercommutes(algebra, sigma, omega_spec.symbol, rng, trials))
-    return PairwiseReport(
-        "relaxed-entropic",
-        algebra.name,
-        checks,
-        all(c.passed for c in checks),
-        algebra.check_mode,
-    )
+    return CheckOutcome.composite("relaxed-entropic", checks, algebra.check_mode)
 
 
 def _as_callable(phi, b, r):
@@ -697,26 +686,7 @@ def map_action(algebra: FinAlgebra, endos=None) -> EndoAction:
     )
 
 
-@dataclass
-class ModuleAxiomReport:
-    algebra: str
-    checks: list
-    passed: bool
-    mode: str
-
-    def __bool__(self):
-        return self.passed
-
-    def as_record(self):
-        return {
-            "algebra": self.algebra,
-            "verdict": "pass" if self.passed else "fail",
-            "mode": self.mode,
-            "axioms": [c.as_record() for c in self.checks],
-        }
-
-
-def check_module_axioms(action: EndoAction, algebra, rng=None, trials=DEFAULT_TRIALS) -> ModuleAxiomReport:
+def check_module_axioms(action: EndoAction, algebra, rng=None, trials=DEFAULT_TRIALS) -> CheckOutcome:
     """Verify the four module axioms for an endomorphism action.
 
     identity action, compatibility with composition, ops on endos acting
@@ -811,6 +781,4 @@ def check_module_axioms(action: EndoAction, algebra, rng=None, trials=DEFAULT_TR
         run_axiom(f"ax3:ops-pointwise:{op.symbol}", op.arity, 1, ax3)
         run_axiom(f"ax4:endo-preserves:{op.symbol}", 1, op.arity, ax4)
 
-    return ModuleAxiomReport(
-        getattr(algebra, "name", "?"), checks, all(c.passed for c in checks), mode
-    )
+    return CheckOutcome.composite("module-axioms", checks, mode)

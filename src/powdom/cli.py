@@ -48,7 +48,6 @@ from .sampling import (
     DEFAULT_SEED,
     DEFAULT_SIZE_GUARD,
     DEFAULT_TRIALS,
-    EXHAUSTIVE,
     SAMPLED,
     task_rng,
 )
@@ -142,7 +141,6 @@ def _cmd_check(args, ws, report):
         result = is_relaxed_entropic(algebra, rng, args.trials)
     report.add(result)
     report.payload["algebra"] = algebra.name
-    report.payload["mode"] = result.mode
 
 
 def _cmd_powerdomain(args, ws, report):
@@ -176,7 +174,7 @@ def _valuation_powerdomain(args, poset, report):
         for i in range(poset.size)
         for j in range(poset.size)
     )
-    report.add(CheckOutcome("valuations:point-evaluations-embed", embed_ok, EXHAUSTIVE))
+    report.add(CheckOutcome("valuations:point-evaluations-embed", embed_ok))
     chis = [chi(u) for u in all_up_sets(poset, args.size_guard)]
     lin_ok = valuations_linear(catalog_valuations(poset), chis, chis)
     report.add(CheckOutcome("valuations:simple-valuations-linear", lin_ok, SAMPLED))
@@ -257,7 +255,7 @@ def _cmd_transform(args, ws, report):
     report.payload["name"] = args.name
     report.payload["result"] = literal
     report.payload["classification"] = classification
-    report.add(CheckOutcome("transform:converted", True, EXHAUSTIVE))
+    report.add(CheckOutcome("transform:converted", True))
 
 
 def _poset_name(ws, poset):
@@ -286,7 +284,7 @@ def _cmd_export_dot(args, ws, report):
         with open(args.dot, "w", encoding="utf-8") as fh:
             fh.write(text)
     report.payload["dot"] = text
-    report.add(CheckOutcome("export-dot", True, EXHAUSTIVE))
+    report.add(CheckOutcome("export-dot", True))
 
 
 def main(argv=None) -> int:

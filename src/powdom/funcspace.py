@@ -42,9 +42,6 @@ class MonoMap:
     def __call__(self, i: int) -> int:
         return self.table[i]
 
-    def apply_label(self, label: str) -> str:
-        return self.target.labels[self.table[self.source.index(label)]]
-
     def leq(self, other: "MonoMap") -> bool:
         """Pointwise comparison; requires identical source and target."""
         if self.source != other.source or self.target != other.target:

@@ -121,15 +121,6 @@ class FinPoset:
                     break
         return out
 
-    def down_mask(self, indices) -> int:
-        """Bitmask of the down-closure of the given element indices."""
-        mask = 0
-        for i in indices:
-            for j in range(self.size):
-                if self.leq[j][i]:
-                    mask |= 1 << j
-        return mask
-
     def up_mask(self, indices) -> int:
         mask = 0
         for i in indices:

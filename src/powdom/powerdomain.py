@@ -28,7 +28,6 @@ from .poset import ElemSet, FinPoset, all_down_sets, all_up_sets, is_order_iso, 
 from .sampling import (
     DEFAULT_SIZE_GUARD,
     DEFAULT_TRIALS,
-    EXHAUSTIVE,
     SAMPLED,
     SCALAR_GRID,
     random_monotone_values,
@@ -352,6 +351,9 @@ def _canonical_components(components):
 
 @dataclass
 class PowerdomainResult:
+    """A set-presented powerdomain matched with its functionals, and the
+    checks of that match."""
+
     kind: str
     poset: FinPoset
     sets: list
@@ -365,14 +367,13 @@ class PowerdomainResult:
         return all(c.passed for c in self.checks)
 
     def as_record(self):
+        """The construction itself; its checks are reported as records."""
         return {
             "kind": self.kind,
             "elements": [s.label() for s in self.sets],
             "count": len(self.sets),
             "functional_count": len(self.functionals),
             "pairing": [{"set": a, "functional": b} for a, b in self.pairing],
-            "checks": [c.as_record() for c in self.checks],
-            "verdict": "pass" if self.passed else "fail",
         }
 
 
@@ -421,11 +422,9 @@ def _set_powerdomain(side: SetSide, x: FinPoset, algebra: FinAlgebra, size_guard
         set_poset, space.family_poset(tuple(homs)), [homs.index(i) for i in images]
     )
     checks = [
-        CheckOutcome(f"{side.kind}:bijection-onto-homs", bijective, EXHAUSTIVE),
-        CheckOutcome(f"{side.kind}:order-isomorphism", iso, EXHAUSTIVE),
-        CheckOutcome(
-            f"{side.kind}:free-equals-hom", sorted(space.free_indices) == homs, EXHAUSTIVE
-        ),
+        CheckOutcome(f"{side.kind}:bijection-onto-homs", bijective),
+        CheckOutcome(f"{side.kind}:order-isomorphism", iso),
+        CheckOutcome(f"{side.kind}:free-equals-hom", sorted(space.free_indices) == homs),
     ]
     result = PowerdomainResult(
         side.kind, x, sets, set_poset, [space.functional(i) for i in homs], pairing, checks
@@ -466,7 +465,7 @@ def smyth_powerdomain(x: FinPoset, algebra_dem: FinAlgebra, size_guard: int = DE
             for w in supports:
                 if u <= w and w not in ones:
                     filter_ok = False
-    result.checks.append(CheckOutcome("smyth:preimages-are-filters", filter_ok, EXHAUSTIVE))
+    result.checks.append(CheckOutcome("smyth:preimages-are-filters", filter_ok))
     return result
 
 
@@ -483,11 +482,10 @@ def sobrification(x: FinPoset, frame_algebra: FinAlgebra, size_guard: int = DEFA
     space = functional_space(x, frame_algebra, size_guard)
     homs = list(space.hom_indices)
     checks = [
-        CheckOutcome("sober:count-equals-points", len(homs) == x.size, EXHAUSTIVE),
+        CheckOutcome("sober:count-equals-points", len(homs) == x.size),
         CheckOutcome(
             "sober:points-are-the-functionals",
             sorted(space.delta_indices) == sorted(homs),
-            EXHAUSTIVE,
         ),
         CheckOutcome(
             "sober:delta-is-order-iso",
@@ -498,7 +496,6 @@ def sobrification(x: FinPoset, frame_algebra: FinAlgebra, size_guard: int = DEFA
             )
             if sorted(space.delta_indices) == sorted(homs)
             else False,
-            EXHAUSTIVE,
         ),
     ]
     return [space.functional(i) for i in homs], checks
@@ -506,30 +503,6 @@ def sobrification(x: FinPoset, frame_algebra: FinAlgebra, size_guard: int = DEFA
 
 # ---------------------------------------------------------------------------
 # sublinear / superlinear law checks
-
-
-@dataclass
-class LawReport:
-    name: str
-    seed: int
-    trials: int
-    checks: list
-
-    @property
-    def passed(self):
-        return all(c.passed for c in self.checks)
-
-    def __bool__(self):
-        return self.passed
-
-    def as_record(self):
-        return {
-            "name": self.name,
-            "seed": self.seed,
-            "trials": self.trials,
-            "verdict": "pass" if self.passed else "fail",
-            "checks": [c.as_record() for c in self.checks],
-        }
 
 
 def _predicate_pairs(poset, rng, trials, size_guard):
@@ -576,7 +549,7 @@ def _pair_law_check(name, phi, poset, rng, trials, size_guard, combine, combine_
     return CheckOutcome(name, True, SAMPLED)
 
 
-def check_linear_side(phi, side: LinearSide, trials: int = DEFAULT_TRIALS, seed: int = 42, size_guard: int = DEFAULT_SIZE_GUARD) -> LawReport:
+def check_linear_side(phi, side: LinearSide, trials: int = DEFAULT_TRIALS, seed: int = 42, size_guard: int = DEFAULT_SIZE_GUARD) -> CheckOutcome:
     """Homogeneity, zero at zero, and the side's additivity and lattice laws.
 
     The side is an argument, never read off ``phi``, so any functional can
@@ -585,11 +558,7 @@ def check_linear_side(phi, side: LinearSide, trials: int = DEFAULT_TRIALS, seed:
     poset = phi.poset
     below = side.below
     checks = [
-        CheckOutcome(
-            "zero-at-zero",
-            phi(constant_predicate(poset, ZERO)) == ZERO,
-            EXHAUSTIVE,
-        ),
+        CheckOutcome("zero-at-zero", phi(constant_predicate(poset, ZERO)) == ZERO),
         _homogeneity_check(phi, poset, task_rng(seed, f"{side.name}:homog"), max(trials // 10, 10), size_guard),
         _pair_law_check(
             side.additive,
@@ -614,20 +583,20 @@ def check_linear_side(phi, side: LinearSide, trials: int = DEFAULT_TRIALS, seed:
             lambda l, r: _oriented_leq(below, r, l),
         ),
     ]
-    return LawReport(side.name, seed, trials, checks)
+    return CheckOutcome.composite(side.name, checks, SAMPLED)
 
 
-def check_sublinear(phi, trials: int = DEFAULT_TRIALS, seed: int = 42, size_guard: int = DEFAULT_SIZE_GUARD) -> LawReport:
+def check_sublinear(phi, trials: int = DEFAULT_TRIALS, seed: int = 42, size_guard: int = DEFAULT_SIZE_GUARD) -> CheckOutcome:
     """Homogeneity, zero at zero, subadditivity, and join domination."""
     return check_linear_side(phi, SUBLINEAR, trials, seed, size_guard)
 
 
-def check_superlinear(phi, trials: int = DEFAULT_TRIALS, seed: int = 42, size_guard: int = DEFAULT_SIZE_GUARD) -> LawReport:
+def check_superlinear(phi, trials: int = DEFAULT_TRIALS, seed: int = 42, size_guard: int = DEFAULT_SIZE_GUARD) -> CheckOutcome:
     """Homogeneity, zero at zero, superadditivity, and meet domination."""
     return check_linear_side(phi, SUPERLINEAR, trials, seed, size_guard)
 
 
-def domination_check(mu: SimpleValuation, phi, trials: int = DEFAULT_TRIALS, seed: int = 42, size_guard: int = DEFAULT_SIZE_GUARD) -> LawReport:
+def domination_check(mu: SimpleValuation, phi, trials: int = DEFAULT_TRIALS, seed: int = 42, size_guard: int = DEFAULT_SIZE_GUARD) -> CheckOutcome:
     """Is mu below a SubFn (resp. above a SupFn or a valuation) on every
     tested predicate?
 
@@ -644,23 +613,12 @@ def domination_check(mu: SimpleValuation, phi, trials: int = DEFAULT_TRIALS, see
     for f in preds:
         a, b = mu(f), phi(f)
         if not _oriented_leq(side.below, a, b):
-            return LawReport(
-                name,
-                seed,
-                trials,
-                [
-                    CheckOutcome(
-                        name,
-                        False,
-                        SAMPLED,
-                        {"f": f.literal(), "mu": str(a), "phi": str(b)},
-                    )
-                ],
-            )
-    return LawReport(name, seed, trials, [CheckOutcome(name, True, SAMPLED)])
+            witness = {"f": f.literal(), "mu": str(a), "phi": str(b)}
+            return CheckOutcome(name, False, SAMPLED, witness)
+    return CheckOutcome(name, True, SAMPLED)
 
 
-def non_integer_witness(x: FinPoset, point: int, r: ExtNN, rat_monoid, trials: int = DEFAULT_TRIALS, seed: int = 42, size_guard: int = DEFAULT_SIZE_GUARD) -> LawReport:
+def non_integer_witness(x: FinPoset, point: int, r: ExtNN, rat_monoid, trials: int = DEFAULT_TRIALS, seed: int = 42, size_guard: int = DEFAULT_SIZE_GUARD) -> CheckOutcome:
     """Witness that a non-integer multiple of a point evaluation cannot be
     generated from point evaluations by addition alone.
 
@@ -683,8 +641,7 @@ def non_integer_witness(x: FinPoset, point: int, r: ExtNN, rat_monoid, trials: i
         CheckOutcome(
             "mass-outside-naturals",
             not (mass.is_infinite or mass.is_integer),
-            EXHAUSTIVE,
-            {"mass": str(mass)},
+            witness={"mass": str(mass)},
         ),
     ]
-    return LawReport("non-integer-witness", seed, trials, checks)
+    return CheckOutcome.composite("non-integer-witness", checks, SAMPLED)

@@ -18,17 +18,18 @@ class Report:
     checks: list = field(default_factory=list)
     payload: dict = field(default_factory=dict)
 
-    def add(self, record):
-        """Append a check record (anything with as_record(), or a dict)."""
-        self.checks.append(record if isinstance(record, dict) else record.as_record())
+    def add(self, outcome):
+        """Append the record of one CheckOutcome."""
+        self.checks.append(outcome.as_record())
 
-    def extend(self, records):
-        for r in records:
-            self.add(r)
+    def extend(self, outcomes):
+        for outcome in outcomes:
+            self.add(outcome)
 
     @property
     def passed(self) -> bool:
-        return all(_record_passed(c) for c in self.checks)
+        # a composite's verdict is already the AND of its sub-checks
+        return all(c["verdict"] == "pass" for c in self.checks)
 
     def to_dict(self) -> dict:
         return {
@@ -42,12 +43,3 @@ class Report:
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
 
-
-def _record_passed(record: dict) -> bool:
-    if record.get("verdict") == "fail":
-        return False
-    for value in record.values():
-        if isinstance(value, list):
-            if any(isinstance(v, dict) and not _record_passed(v) for v in value):
-                return False
-    return True

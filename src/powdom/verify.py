@@ -61,7 +61,6 @@ from .sampling import (
     DEFAULT_SEED,
     DEFAULT_SIZE_GUARD,
     DEFAULT_TRIALS,
-    EXHAUSTIVE,
     MONOID_GRID,
     SAMPLED,
     SCALAR_GRID,
@@ -92,10 +91,6 @@ class SuiteConfig:
         return task_rng(self.seed, label)
 
 
-def _outcome(name, ok, mode=EXHAUSTIVE, witness=None):
-    return CheckOutcome(name, ok, mode, witness)
-
-
 # ---------------------------------------------------------------------------
 # exact arithmetic
 
@@ -108,19 +103,19 @@ def check_extnum(cfg: SuiteConfig):
         tuple(random_extnn(rng) for _ in range(3)) for _ in range(cfg.trials)
     ]
     ok = all(a + (b + c) == (a + b) + c for a, b, c in triples)
-    checks.append(_outcome("extnum.add-associative", ok, SAMPLED))
+    checks.append(CheckOutcome("extnum.add-associative", ok, SAMPLED))
     ok = all(a + b == b + a for a, b, _ in triples)
-    checks.append(_outcome("extnum.add-commutative", ok, SAMPLED))
+    checks.append(CheckOutcome("extnum.add-commutative", ok, SAMPLED))
     ok = all(a + ZERO == a for a, _, _ in triples)
-    checks.append(_outcome("extnum.add-unit", ok, SAMPLED))
+    checks.append(CheckOutcome("extnum.add-unit", ok, SAMPLED))
     ok = all(a * (b + c) == a * b + a * c for a, b, c in triples)
-    checks.append(_outcome("extnum.mul-distributes", ok, SAMPLED))
+    checks.append(CheckOutcome("extnum.mul-distributes", ok, SAMPLED))
     ok = all(
         (a * b <= a * c) and (b * a <= c * a) and (a + b <= a + c)
         for a, b, c in triples
         if b <= c
     )
-    checks.append(_outcome("extnum.ops-monotone", ok, SAMPLED))
+    checks.append(CheckOutcome("extnum.ops-monotone", ok, SAMPLED))
     return checks
 
 
@@ -136,21 +131,19 @@ def check_posets(cfg: SuiteConfig):
         ok = len(ups) == len(downs) and sorted(
             u.complement().mask for u in ups
         ) == sorted(d.mask for d in downs)
-        checks.append(_outcome(f"poset.updown-duality.{name}", ok))
+        checks.append(CheckOutcome(f"poset.updown-duality.{name}", ok))
         masks = {u.mask for u in ups}
         ok = all(
             (a.mask | b.mask) in masks and (a.mask & b.mask) in masks
             for a in ups
             for b in ups
         )
-        checks.append(_outcome(f"poset.opens-closed-under-union-meet.{name}", ok))
+        checks.append(CheckOutcome(f"poset.opens-closed-under-union-meet.{name}", ok))
         rebuilt = poset_from_cover(
             poset.labels,
             [(poset.labels[i], poset.labels[j]) for i, j in poset.covers()],
         )
-        checks.append(
-            _outcome(f"poset.cover-roundtrip.{name}", rebuilt.leq == poset.leq)
-        )
+        checks.append(CheckOutcome(f"poset.cover-roundtrip.{name}", rebuilt.leq == poset.leq))
     return checks
 
 
@@ -175,9 +168,7 @@ def check_funcspace(cfg: SuiteConfig):
                 if poset.leq[i][j]
             )
         )
-        checks.append(
-            _outcome(f"funcspace.count-vs-bruteforce.{name}", len(expo) == brute)
-        )
+        checks.append(CheckOutcome(f"funcspace.count-vs-bruteforce.{name}", len(expo) == brute))
     ok = True
     for (xn, x), (yn, y), (zn, z) in itertools.product(small.items(), repeat=3):
         us = enumerate_monotone(x, y, cfg.size_guard).maps
@@ -190,7 +181,7 @@ def check_funcspace(cfg: SuiteConfig):
                         u, precompose(v, g)
                     ).table:
                         ok = False
-    checks.append(_outcome("funcspace.precompose-functorial", ok))
+    checks.append(CheckOutcome("funcspace.precompose-functorial", ok))
     return checks
 
 
@@ -223,7 +214,7 @@ def check_algebra_laws(cfg: SuiteConfig):
     ):
         report = is_entropic(algs[name], cfg.rng(f"entropic.{name}"), cfg.trials)
         checks.append(
-            _outcome(
+            CheckOutcome(
                 f"algebra.entropic.{name}",
                 report.passed == expected,
                 report.mode,
@@ -233,7 +224,7 @@ def check_algebra_laws(cfg: SuiteConfig):
     for name in ("rplus_max", "rplus_min"):
         report = is_relaxed_entropic(algs[name], cfg.rng(f"relaxed.{name}"), cfg.trials)
         checks.append(
-            _outcome(
+            CheckOutcome(
                 f"algebra.relaxed-entropic.{name}",
                 report.passed,
                 report.mode,
@@ -251,13 +242,13 @@ def check_algebra_laws(cfg: SuiteConfig):
                 b = commutes(alg, o, s, cfg.rng(f"sym.{name}.{o}.{s}"), cfg.trials // 10)
                 if a.passed != b.passed:
                     sym_ok = False
-    checks.append(_outcome("algebra.interchange-symmetric", sym_ok, SAMPLED))
+    checks.append(CheckOutcome("algebra.interchange-symmetric", sym_ok, SAMPLED))
 
     # the mixed inequational laws backing the sublinear/superlinear checks
     sub1 = subcommutes(algs["rplus_max"], "max", "add", cfg.rng("sub.max.add"), cfg.trials)
-    checks.append(_outcome("algebra.max-subcommutes-add", sub1.passed, sub1.mode, sub1.witness))
+    checks.append(CheckOutcome("algebra.max-subcommutes-add", sub1.passed, sub1.mode, sub1.witness))
     sub2 = subcommutes(algs["rplus_min"], "add", "min", cfg.rng("sub.add.min"), cfg.trials)
-    checks.append(_outcome("algebra.add-subcommutes-min", sub2.passed, sub2.mode, sub2.witness))
+    checks.append(CheckOutcome("algebra.add-subcommutes-min", sub2.passed, sub2.mode, sub2.witness))
 
     # closure of morphism families under the lifted ops
     posets = cfg.posets()
@@ -269,7 +260,7 @@ def check_algebra_laws(cfg: SuiteConfig):
             homs = set(space.hom_indices)
             if set(generated_subalgebra(space.func_algebra, space.hom_indices)) != homs:
                 ok = False
-        checks.append(_outcome(f"algebra.hom-set-closed.{rname}", ok))
+        checks.append(CheckOutcome(f"algebra.hom-set-closed.{rname}", ok))
     r = _two_ang_le()
     ok = True
     for pname, poset in posets.items():
@@ -277,7 +268,7 @@ def check_algebra_laws(cfg: SuiteConfig):
         relaxed = set(space.relaxed_indices)
         if set(generated_subalgebra(space.func_algebra, space.relaxed_indices)) != relaxed:
             ok = False
-    checks.append(_outcome("algebra.relaxed-set-closed.2_ang_le", ok))
+    checks.append(CheckOutcome("algebra.relaxed-set-closed.2_ang_le", ok))
 
     # closure operator laws for generated subalgebras
     lifted = functional_space(posets["A2"], algs["2_ang"], cfg.size_guard).func_algebra
@@ -295,8 +286,8 @@ def check_algebra_laws(cfg: SuiteConfig):
         bigger = tuple(sorted(set(gens) | {gen_rng.randrange(n)})) if n else gens
         if not set(closed) <= set(generated_subalgebra(lifted, bigger)):
             mono_ok = False
-    checks.append(_outcome("algebra.closure-idempotent", idem_ok, SAMPLED))
-    checks.append(_outcome("algebra.closure-monotone", mono_ok, SAMPLED))
+    checks.append(CheckOutcome("algebra.closure-idempotent", idem_ok, SAMPLED))
+    checks.append(CheckOutcome("algebra.closure-monotone", mono_ok, SAMPLED))
     return checks
 
 
@@ -319,7 +310,7 @@ def check_monad(cfg: SuiteConfig):
                 for j in range(poset.size):
                     if poset.leq[i][j] != ds[i].leq(ds[j]):
                         ok = False
-    checks.append(_outcome("monad.unit-order-embedding", ok))
+    checks.append(CheckOutcome("monad.unit-order-embedding", ok))
 
     small = [posets[k] for k in ("one", "C2", "A2")]
 
@@ -359,8 +350,8 @@ def check_monad(cfg: SuiteConfig):
                         lifted = kleisli_lift(t, xs.functional(i), cfg.size_guard)
                         if ys.space.index(lifted.table) not in hom_set:
                             preserves_ok = False
-    checks.append(_outcome("monad.lifting-preserves-ops", lift_hom_ok))
-    checks.append(_outcome("monad.lifting-preserves-homs", preserves_ok))
+    checks.append(CheckOutcome("monad.lifting-preserves-ops", lift_hom_ok))
+    checks.append(CheckOutcome("monad.lifting-preserves-homs", preserves_ok))
 
     # state/predicate correspondence for the hom and relaxed families
     for r in two_algs + [_two_ang_le()]:
@@ -389,7 +380,7 @@ def check_monad(cfg: SuiteConfig):
                 }
                 if rel_images != rel_s:
                     corr_ok = False
-        checks.append(_outcome(f"monad.transformer-correspondence.{r.name}", corr_ok))
+        checks.append(CheckOutcome(f"monad.transformer-correspondence.{r.name}", corr_ok))
 
     # containments of the generated family
     for rname in ("2_ang", "2_dem"):
@@ -399,14 +390,14 @@ def check_monad(cfg: SuiteConfig):
             space = functional_space(poset, r, cfg.size_guard)
             if not set(space.free_indices) <= set(space.hom_indices):
                 ok = False
-        checks.append(_outcome(f"monad.free-inside-hom.{rname}", ok))
+        checks.append(CheckOutcome(f"monad.free-inside-hom.{rname}", ok))
     r = _two_ang_le()
     ok = True
     for pname, poset in posets.items():
         space = functional_space(poset, r, cfg.size_guard)
         if not set(space.free_indices) <= set(space.relaxed_indices):
             ok = False
-    checks.append(_outcome("monad.free-inside-relaxed.2_ang_le", ok))
+    checks.append(CheckOutcome("monad.free-inside-relaxed.2_ang_le", ok))
 
     # the unit on an algebra is op-preserving into the hom functionals
     for aname in ("2_ang", "2_dem", "lattice2"):
@@ -425,9 +416,7 @@ def check_monad(cfg: SuiteConfig):
         )
         delta_a = MonoMap(a.carrier, lifted.carrier, table)
         outcome = is_homomorphism(delta_a, a, lifted)
-        checks.append(
-            _outcome(f"monad.unit-on-algebra-preserves-ops.{aname}", outcome.passed)
-        )
+        checks.append(CheckOutcome(f"monad.unit-on-algebra-preserves-ops.{aname}", outcome.passed))
     return checks
 
 
@@ -448,7 +437,7 @@ def check_transform_roundtrips(cfg: SuiteConfig):
             for s in all_predicate_transformers(ys, xs, cfg.size_guard):
                 if p_transform(q_transform(s, cfg.size_guard), cfg.size_guard) != s:
                     ok = False
-    checks.append(_outcome("monad.pq-roundtrip", ok))
+    checks.append(CheckOutcome("monad.pq-roundtrip", ok))
     return checks
 
 
@@ -471,7 +460,7 @@ def check_monad_laws_suite(cfg: SuiteConfig):
                         for c in check_monad_laws(x, y, z, r, t, rr, cfg.size_guard)
                     ):
                         ok = False
-        checks.append(_outcome(f"monad.laws.{r.name}", ok))
+        checks.append(CheckOutcome(f"monad.laws.{r.name}", ok))
     return checks
 
 
@@ -487,16 +476,17 @@ def check_powerdomains(cfg: SuiteConfig):
         for side, build in SET_POWERDOMAINS.values():
             result = build(poset, algs[side.algebra], cfg.size_guard)
             count_ok = len(result.functionals) == len(side.sets(poset, cfg.size_guard))
+            failed = [c.name for c in result.checks if not c.passed]
             checks.append(
-                _outcome(
+                CheckOutcome(
                     f"powerdomain.{side.kind}.{name}",
-                    result.passed and count_ok,
-                    witness=None if result.passed else result.as_record(),
+                    not failed and count_ok,
+                    witness={"failed": failed} if failed else None,
                 )
             )
         points, sober_checks = sobrification(poset, algs["frame2"], cfg.size_guard)
         checks.append(
-            _outcome(
+            CheckOutcome(
                 f"powerdomain.sober.{name}",
                 all(c.passed for c in sober_checks) and len(points) == poset.size,
             )
@@ -555,9 +545,9 @@ def check_valuations(cfg: SuiteConfig):
                             cone_ok = False
                 if mu.scale(ZERO).atoms != ():
                     cone_ok = False
-    checks.append(_outcome("valuation.linear", lin_ok, SAMPLED))
-    checks.append(_outcome("valuation.order-oracle-agrees", agree_ok, SAMPLED))
-    checks.append(_outcome("valuation.cone-laws", cone_ok, SAMPLED))
+    checks.append(CheckOutcome("valuation.linear", lin_ok, SAMPLED))
+    checks.append(CheckOutcome("valuation.order-oracle-agrees", agree_ok, SAMPLED))
+    checks.append(CheckOutcome("valuation.cone-laws", cone_ok, SAMPLED))
 
     module = check_module_axioms(
         scalar_action(algs["rplus"]),
@@ -566,7 +556,7 @@ def check_valuations(cfg: SuiteConfig):
         min(cfg.trials, 2000),
     )
     checks.append(
-        _outcome(
+        CheckOutcome(
             "valuation.module-axioms",
             module.passed,
             module.mode,
@@ -589,7 +579,7 @@ def check_mixed(cfg: SuiteConfig):
                 seed = derive_seed(cfg.seed, f"mixed.{side.name}.{name}.{i}")
                 if not check_linear_side(phi, side, trials, seed, cfg.size_guard).passed:
                     ok = False
-        checks.append(_outcome(f"mixed.{side.keyword}s-{side.name}", ok, SAMPLED))
+        checks.append(CheckOutcome(f"mixed.{side.keyword}s-{side.name}", ok, SAMPLED))
     return checks
 
 

@@ -383,6 +383,20 @@ class TestConstruction:
         with pytest.raises(UnknownOp):
             FinAlgebra("partial", catalog.TWO, sig, {})
 
+    @pytest.mark.parametrize("stray", [(1, 1, 1), (2, 0), (0,)])
+    def test_stray_table_entry_rejected(self, stray):
+        sig = Signature((OpSpec("join", 2, OpTag.EQ),))
+        table = {(i, j): max(i, j) for i in (0, 1) for j in (0, 1)}
+        table[stray] = 0
+        with pytest.raises(ArityMismatch) as err:
+            FinAlgebra("stray", catalog.TWO, sig, {"join": table})
+        assert str(err.value) == f"table for join has entry {stray} outside carrier^2"
+
+    def test_nullary_stray_entry_rejected(self):
+        sig = Signature((OpSpec("zero", 0, OpTag.EQ),))
+        with pytest.raises(ArityMismatch):
+            FinAlgebra("stray", catalog.TWO, sig, {"zero": {(): 0, (0,): 0}})
+
     def test_infinite_scalar_conventions(self):
         alg = ALGS["rplus_max"]
         assert alg.apply("scale", (ZERO,), INF) == ZERO

@@ -331,3 +331,54 @@ def test_valuation_and_envelopes_share_one_namespace(tmp_path):
     assert proc.stderr == (
         f"error: {defs}:2: subfn 'phi' is already defined as a valuation\n"
     )
+
+
+STRAY = """poset P
+elems lo hi
+le lo hi
+end
+algebra j on P
+op join arity 2 tag EQ
+table join { (lo,lo)->lo; (lo,hi)->hi; (hi,lo)->hi; (hi,hi)->hi; (hi,hi,hi)->lo }
+end
+"""
+
+
+def test_stray_table_entry_is_a_parse_error(tmp_path):
+    defs = tmp_path / "stray.defs"
+    defs.write_text(STRAY, encoding="utf-8")
+    with pytest.raises(ParseError) as err:
+        load_workspace([str(defs)])
+    assert str(err.value) == f"{defs}:5: table for join has entry (1, 1, 1) outside carrier^2"
+    proc = run_cli(["check", "--entropic", "j", "-f", str(defs)])
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == f"error: {err.value}\n"
+
+
+@pytest.mark.parametrize(
+    "statement, message",
+    [
+        (
+            "transformer t : C2 -> C2 with 2_ang\n"
+            "at bot { [0,0] -> 0; [0,1] -> 1; [1,1] -> 1 }\n"
+            "at top { [0,0] -> 0; [0,1] -> 0; [1,1] -> 1 }\n"
+            "end\n",
+            "table violates monotonicity on bot <= top",
+        ),
+        (
+            "ptransformer s : C2 -> C2 with 2_ang\n"
+            "at [0,0] { bot |-> 1; top |-> 1 }\n"
+            "at [0,1] { bot |-> 0; top |-> 1 }\n"
+            "at [1,1] { bot |-> 1; top |-> 1 }\n"
+            "end\n",
+            "table violates monotonicity on [0,0] <= [0,1]",
+        ),
+    ],
+)
+def test_non_monotone_transformer_names_the_cover(tmp_path, statement, message):
+    defs = tmp_path / "bad.defs"
+    defs.write_text(statement, encoding="utf-8")
+    with pytest.raises(ParseError) as err:
+        load_workspace([str(defs)])
+    assert str(err.value) == f"{defs}:1: {message}"

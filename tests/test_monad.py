@@ -4,9 +4,10 @@ import pytest
 
 from powdom import catalog
 from powdom.algebra import FinAlgebra, OpSpec, OpTag, Signature, is_homomorphism
-from powdom.errors import TypeMismatch
+from powdom.errors import NotMonotone, TypeMismatch
 from powdom.funcspace import MonoMap, compose, enumerate_monotone, identity_map
 from powdom.monad import (
+    PredicateTransformer,
     StateTransformer,
     all_predicate_transformers,
     all_state_transformers,
@@ -341,3 +342,42 @@ def test_unit_on_algebra_is_op_preserving():
         )
         delta_a = MonoMap(a.carrier, lifted.carrier, table)
         assert is_homomorphism(delta_a, a, lifted).passed
+
+
+class TestTransformerValidation:
+    """Transformer tables are validated as MonoMaps into the functionals
+    (state transformers) or the target predicates (predicate transformers)."""
+
+    def setup_method(self):
+        self.r = ALGS["2_ang"]
+        self.c2 = functional_space(POSETS["C2"], self.r)
+
+    def test_state_transformer_table_is_a_monotone_map(self):
+        for m in enumerate_monotone(POSETS["C2"], self.c2.space.poset).maps:
+            assert StateTransformer(POSETS["C2"], self.c2, m.table).table == m.table
+        # bot to the evaluation at top and top to the evaluation at bot
+        swapped = tuple(reversed(self.c2.delta_indices))
+        with pytest.raises(NotMonotone):
+            StateTransformer(POSETS["C2"], self.c2, swapped)
+        with pytest.raises(TypeMismatch):
+            StateTransformer(POSETS["C2"], self.c2, (0, len(self.c2.space)))
+        with pytest.raises(TypeMismatch):
+            StateTransformer(POSETS["C2"], self.c2, (0,))
+
+    def test_predicate_transformer_table_is_a_monotone_map(self):
+        preds = self.c2.predicates.poset
+        for m in enumerate_monotone(preds, preds).maps:
+            s = PredicateTransformer(self.c2, self.c2, m.table)
+            assert s.as_map() == m
+        top = preds.size - 1
+        with pytest.raises(NotMonotone):
+            PredicateTransformer(self.c2, self.c2, (top,) + (0,) * (preds.size - 1))
+        with pytest.raises(TypeMismatch):
+            PredicateTransformer(self.c2, self.c2, (0,) * (preds.size - 1))
+        with pytest.raises(TypeMismatch):
+            PredicateTransformer(self.c2, self.c2, (preds.size,) * preds.size)
+
+    def test_predicate_transformer_endpoints_share_the_algebra(self):
+        dem = functional_space(POSETS["C2"], ALGS["2_dem"])
+        with pytest.raises(TypeMismatch):
+            PredicateTransformer(self.c2, dem, tuple(range(len(self.c2.predicates))))

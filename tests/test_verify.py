@@ -1,6 +1,7 @@
 import json
 
 from powdom import catalog
+from powdom.algebra import CheckOutcome
 from powdom.report import Report
 from powdom.verify import SUITE, SuiteConfig, run_suite
 
@@ -52,9 +53,9 @@ def test_report_records_are_ordered_and_named():
 
 def test_report_verdict_aggregation():
     report = Report("demo", {"seed": 1})
-    report.add({"name": "a", "verdict": "pass"})
+    report.add(CheckOutcome("a", True))
     assert report.passed
-    report.add({"name": "b", "verdict": "fail", "witness": {"x": 1}})
+    report.add(CheckOutcome("b", False, witness={"x": 1}))
     assert not report.passed
     data = json.loads(report.to_json())
     assert data["verdict"] == "fail"
