@@ -14,6 +14,7 @@ free.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 
 from .algebra import FinAlgebra, OpSpec, OpTag, RatAlgebra, Signature
 from .extnum import ExtNN, ONE, ZERO, enn_max, enn_min
@@ -170,6 +171,16 @@ def rplus_min() -> RatAlgebra:
 
 
 def builtin_algebras() -> dict:
+    """The built-in algebras by name, in a new dict on every call.
+
+    The algebras are built and validated once per process, on first use;
+    editing the returned dict does not reach later callers.
+    """
+    return dict(_builtin_algebra_instances())
+
+
+@cache
+def _builtin_algebra_instances() -> dict:
     return {
         "2_ang": two_ang(),
         "2_dem": two_dem(),

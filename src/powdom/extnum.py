@@ -13,42 +13,45 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from functools import total_ordering
+from math import gcd
 
 from .errors import PowdomError
 
 _LITERAL = re.compile(r"^(?:inf|(\d+)(?:/(\d+))?)$")
 
 
-@total_ordering
 class ExtNN:
-    """A nonnegative rational or the distinguished top element infinity."""
+    """A nonnegative rational or the distinguished top element infinity.
 
-    __slots__ = ("_frac",)
+    A value is stored as a reduced pair of ints ``(n, d)``: ``gcd(n, d) == 1``
+    and ``d >= 1`` for a rational ``n/d`` (zero is ``0/1``), and ``(1, 0)``
+    for infinity.  Reduction follows ``Fraction``, so equal values have equal
+    pairs, and ``a < b`` iff ``a.n * b.d < b.n * a.d`` holds with infinity
+    included.
+    """
+
+    __slots__ = ("_n", "_d")
 
     def __init__(self, value=0):
         if isinstance(value, ExtNN):
-            self._frac = value._frac
+            self._n, self._d = value._n, value._d
             return
         if value is None:
-            self._frac = None  # infinity
+            self._n, self._d = 1, 0  # infinity
             return
         frac = Fraction(value)
         if frac < 0:
             raise PowdomError(f"negative value {frac} is outside the carrier")
-        self._frac = frac
+        self._n, self._d = frac.numerator, frac.denominator
 
     @classmethod
-    def _wrap(cls, frac):
-        # internal: frac is a known-nonnegative Fraction (or None); skips
+    def _wrap(cls, n, d):
+        # internal: (n, d) is already a reduced pair as described above; skips
         # the conversion and sign check of the public constructor
         obj = object.__new__(cls)
-        obj._frac = frac
+        obj._n = n
+        obj._d = d
         return obj
-
-    @classmethod
-    def infinity(cls) -> "ExtNN":
-        return INF
 
     @classmethod
     def parse(cls, text: str) -> "ExtNN":
@@ -65,65 +68,86 @@ class ExtNN:
 
     @property
     def is_infinite(self) -> bool:
-        return self._frac is None
+        return self._d == 0
 
     @property
     def is_integer(self) -> bool:
-        return self._frac is not None and self._frac.denominator == 1
-
-    @property
-    def as_fraction(self) -> Fraction:
-        if self._frac is None:
-            raise PowdomError("infinity has no fraction form")
-        return self._frac
+        return self._d == 1
 
     def __add__(self, other):
         if not isinstance(other, ExtNN):
             return NotImplemented
-        if self._frac is None or other._frac is None:
+        ad, bd = self._d, other._d
+        if ad == 1 and bd == 1:
+            return ExtNN._wrap(self._n + other._n, 1)
+        if ad == 0 or bd == 0:
             return INF
-        return ExtNN._wrap(self._frac + other._frac)
+        if ad == bd:
+            n = self._n + other._n
+            g = gcd(n, ad)
+            return ExtNN._wrap(n // g, ad // g)
+        n = self._n * bd + other._n * ad
+        d = ad * bd
+        g = gcd(n, d)
+        return ExtNN._wrap(n // g, d // g)
 
     def __mul__(self, other):
         if not isinstance(other, ExtNN):
             return NotImplemented
-        if self._frac is None:
-            return ZERO if other._frac == 0 else INF
-        if other._frac is None:
-            return ZERO if self._frac == 0 else INF
-        return ExtNN._wrap(self._frac * other._frac)
+        an, ad, bn, bd = self._n, self._d, other._n, other._d
+        if ad == 1 and bd == 1:
+            return ExtNN._wrap(an * bn, 1)
+        if ad == 0:
+            return ZERO if bn == 0 else INF
+        if bd == 0:
+            return ZERO if an == 0 else INF
+        # cross-cancel as Fraction does, so the product is already reduced
+        g1 = gcd(an, bd)
+        g2 = gcd(bn, ad)
+        return ExtNN._wrap((an // g1) * (bn // g2), (ad // g2) * (bd // g1))
 
     def __eq__(self, other):
         if not isinstance(other, ExtNN):
             return NotImplemented
-        return self._frac == other._frac
+        return self._n == other._n and self._d == other._d
 
     def __lt__(self, other):
         if not isinstance(other, ExtNN):
             return NotImplemented
-        if self._frac is None:
-            return False
-        if other._frac is None:
-            return True
-        return self._frac < other._frac
+        return self._n * other._d < other._n * self._d
+
+    def __le__(self, other):
+        if not isinstance(other, ExtNN):
+            return NotImplemented
+        return self._n * other._d <= other._n * self._d
+
+    def __gt__(self, other):
+        if not isinstance(other, ExtNN):
+            return NotImplemented
+        return self._n * other._d > other._n * self._d
+
+    def __ge__(self, other):
+        if not isinstance(other, ExtNN):
+            return NotImplemented
+        return self._n * other._d >= other._n * self._d
 
     def __hash__(self):
-        return hash(("ExtNN", self._frac))
+        return hash((self._n, self._d))
 
     def __str__(self):
-        if self._frac is None:
+        if self._d == 0:
             return "inf"
-        if self._frac.denominator == 1:
-            return str(self._frac.numerator)
-        return f"{self._frac.numerator}/{self._frac.denominator}"
+        if self._d == 1:
+            return str(self._n)
+        return f"{self._n}/{self._d}"
 
     def __repr__(self):
         return f"ExtNN({self})"
 
 
-ZERO = ExtNN(0)
-ONE = ExtNN(1)
-INF = ExtNN(None)
+ZERO = ExtNN._wrap(0, 1)
+ONE = ExtNN._wrap(1, 1)
+INF = ExtNN._wrap(1, 0)
 
 
 def enn_mul(a: ExtNN, b: ExtNN) -> ExtNN:

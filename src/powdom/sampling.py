@@ -12,6 +12,7 @@ from __future__ import annotations
 import random
 import zlib
 from fractions import Fraction
+from math import gcd
 
 from .extnum import ExtNN, INF
 
@@ -65,7 +66,8 @@ def random_extnn(rng: random.Random) -> ExtNN:
         return INF
     num = rng.randrange(0, 25)
     den = rng.randrange(1, 13)
-    return ExtNN._wrap(Fraction(num, den))
+    g = gcd(num, den)
+    return ExtNN._wrap(num // g, den // g)
 
 
 def random_monotone_values(poset, rng: random.Random):

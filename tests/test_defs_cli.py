@@ -1,10 +1,14 @@
 import json
 import os
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+from powdom import catalog
+from powdom.algebra import RatAlgebra
 from powdom.cli import main
 from powdom.defs import Workspace, load_workspace, transformer_literal
 from powdom.errors import ParseError, UnknownName
@@ -382,3 +386,60 @@ def test_non_monotone_transformer_names_the_cover(tmp_path, statement, message):
     with pytest.raises(ParseError) as err:
         load_workspace([str(defs)])
     assert str(err.value) == f"{defs}:1: {message}"
+
+
+def test_builtin_algebras_are_built_once_and_handed_out_in_fresh_dicts(sample_path, monkeypatch):
+    first = load_workspace([])
+    second = load_workspace([])
+    assert first.algebra("rplus_max") is second.algebra("rplus_max")
+    edited = catalog.builtin_algebras()
+    edited["rplus_max"] = edited["rplus_min"]
+    del edited["2_ang"]
+    first.algebras.clear()
+    third = load_workspace([])
+    assert third.algebra("rplus_max") is second.algebra("rplus_max")
+    assert third.algebra("2_ang") is second.algebra("2_ang")
+    fresh = catalog.builtin_algebras()
+    assert fresh["rplus_max"] is second.algebra("rplus_max")
+    assert fresh["2_ang"] is second.algebra("2_ang")
+    # a user-defined algebra on extnn is still checked every time it is defined
+    checked = []
+    original = RatAlgebra._grid_monotone
+
+    def counting(self):
+        checked.append(self.name)
+        original(self)
+
+    monkeypatch.setattr(RatAlgebra, "_grid_monotone", counting)
+    load_workspace([sample_path])
+    load_workspace([sample_path])
+    assert checked == ["rmix", "rmix"]
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _readme_block(heading, lang):
+    text = README.read_text(encoding="utf-8")
+    section = text[text.index(heading):]
+    start = section.index(f"```{lang}\n") + len(lang) + 4
+    return section[start:section.index("```", start)]
+
+
+def test_readme_definition_example_loads_and_its_commands_succeed(tmp_path, monkeypatch):
+    monkeypatch.delenv("POWDOM_SEED", raising=False)
+    defs = tmp_path / "my.defs"
+    defs.write_text(_readme_block("## Definition files", "text"), encoding="utf-8")
+    ws = Workspace()
+    ws.load_text(str(defs), defs.read_text(encoding="utf-8"))
+    assert {"mu", "nu"} <= set(ws.valuations)
+    commands = [
+        line.split("#")[0]
+        for line in _readme_block("## Command line", "sh").splitlines()
+        if "-f my.defs" in line
+    ]
+    assert len(commands) == 2
+    for command in commands:
+        argv = shlex.split(command)[1:]
+        argv[argv.index("my.defs")] = str(defs)
+        assert main(argv) == 0, command

@@ -1,3 +1,5 @@
+import operator
+import random
 from fractions import Fraction
 
 import pytest
@@ -5,6 +7,7 @@ from hypothesis import given, strategies as st
 
 from powdom.errors import PowdomError
 from powdom.extnum import INF, ONE, ZERO, ExtNN, enn_max, enn_min, enn_sum
+from powdom.sampling import random_extnn
 
 _values = st.one_of(
     st.just(INF),
@@ -125,3 +128,97 @@ def test_sum_helper():
     vals = [ExtNN(Fraction(1, 2)), ExtNN(Fraction(1, 3)), ExtNN(Fraction(1, 6))]
     assert enn_sum(vals) == ONE
     assert enn_sum([]) == ZERO
+
+
+# oracle for the int-pair representation: fractions.Fraction, with None
+# standing for infinity under the conventions 0 * inf = 0 and inf on top
+_BIG = 10**30
+_fracs = st.one_of(
+    st.builds(Fraction, st.integers(0, _BIG), st.integers(1, _BIG)),
+    st.builds(Fraction, st.integers(0, 40), st.integers(1, 12)),
+    st.integers(0, _BIG).map(Fraction),
+)
+_oracle_values = st.one_of(st.none(), _fracs)
+
+
+def _ext(f):
+    return INF if f is None else ExtNN(f)
+
+
+def _oracle_add(a, b):
+    return None if a is None or b is None else a + b
+
+
+def _oracle_mul(a, b):
+    if a is None or b is None:
+        other = b if a is None else a
+        return Fraction(0) if other == 0 else None
+    return a * b
+
+
+def _oracle_key(a):
+    # infinity sorts above every rational
+    return (1, 0) if a is None else (0, a)
+
+
+def _oracle_str(a):
+    if a is None:
+        return "inf"
+    return str(a.numerator) if a.denominator == 1 else f"{a.numerator}/{a.denominator}"
+
+
+class TestFractionOracle:
+    @given(_oracle_values, _oracle_values)
+    def test_arithmetic_matches(self, a, b):
+        assert _ext(a) + _ext(b) == _ext(_oracle_add(a, b))
+        assert _ext(a) * _ext(b) == _ext(_oracle_mul(a, b))
+        assert str(_ext(a) + _ext(b)) == _oracle_str(_oracle_add(a, b))
+        assert str(_ext(a) * _ext(b)) == _oracle_str(_oracle_mul(a, b))
+
+    @given(_oracle_values, _oracle_values)
+    @pytest.mark.parametrize(
+        "op", [operator.lt, operator.le, operator.gt, operator.ge, operator.eq, operator.ne]
+    )
+    def test_comparisons_match(self, op, a, b):
+        assert op(_ext(a), _ext(b)) == op(_oracle_key(a), _oracle_key(b))
+
+    @given(_oracle_values)
+    def test_str_and_parse_roundtrip(self, a):
+        x = _ext(a)
+        assert str(x) == _oracle_str(a)
+        assert ExtNN.parse(str(x)) == x
+        assert x.is_infinite == (a is None)
+        assert x.is_integer == (a is not None and a.denominator == 1)
+
+    @given(st.integers(0, _BIG), st.integers(1, _BIG), st.integers(1, 1000))
+    def test_equal_values_hash_equal(self, n, d, k):
+        # the same value reached unreduced, through the constructor and
+        # through arithmetic
+        x = ExtNN(Fraction(n * k, d * k))
+        y = ExtNN(Fraction(n, d)) * ONE + ZERO
+        assert x == y
+        assert hash(x) == hash(y)
+        assert hash(INF) == hash(ExtNN(None)) == hash(INF * ExtNN(Fraction(1, d)))
+
+    def test_zero_times_infinity(self):
+        assert ZERO * INF == ZERO
+        assert INF * ZERO == ZERO
+        assert INF * INF == INF
+        assert INF + ZERO == INF
+        assert str(ZERO * INF) == "0"
+
+    @pytest.mark.parametrize("seed", [0, 7, 42])
+    def test_random_extnn_matches_fraction_built_values(self, seed):
+        # the same draws, replayed through the public constructor
+        rng, replay = random.Random(seed), random.Random(seed)
+        for _ in range(2000):
+            got = random_extnn(rng)
+            if replay.randrange(16) == 0:
+                assert got == INF
+                continue
+            num = replay.randrange(0, 25)
+            den = replay.randrange(1, 13)
+            want = ExtNN(Fraction(num, den))
+            assert got == want
+            assert str(got) == str(want)
+            assert hash(got) == hash(want)
