@@ -13,6 +13,7 @@ import argparse
 import os
 import sys
 import time
+from functools import cache
 
 from .algebra import (
     CheckOutcome,
@@ -64,7 +65,13 @@ def _add_common(parser):
     parser.add_argument("--dot", metavar="PATH", help="write a DOT diagram here")
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process.
+
+    Parsing leaves the parser unchanged, so every ``main`` call in one
+    interpreter shares it; building it costs more than most commands.
+    """
     parser = argparse.ArgumentParser(
         prog="powdom",
         description="enumerate, construct and property-check powerdomain structures",

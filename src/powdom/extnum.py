@@ -78,14 +78,8 @@ class ExtNN:
         if not isinstance(other, ExtNN):
             return NotImplemented
         ad, bd = self._d, other._d
-        if ad == 1 and bd == 1:
-            return ExtNN._wrap(self._n + other._n, 1)
         if ad == 0 or bd == 0:
             return INF
-        if ad == bd:
-            n = self._n + other._n
-            g = gcd(n, ad)
-            return ExtNN._wrap(n // g, ad // g)
         n = self._n * bd + other._n * ad
         d = ad * bd
         g = gcd(n, d)
@@ -95,8 +89,6 @@ class ExtNN:
         if not isinstance(other, ExtNN):
             return NotImplemented
         an, ad, bn, bd = self._n, self._d, other._n, other._d
-        if ad == 1 and bd == 1:
-            return ExtNN._wrap(an * bn, 1)
         if ad == 0:
             return ZERO if bn == 0 else INF
         if bd == 0:

@@ -9,7 +9,7 @@ import pytest
 
 from powdom import catalog
 from powdom.algebra import RatAlgebra
-from powdom.cli import main
+from powdom.cli import build_parser, main
 from powdom.defs import Workspace, load_workspace, transformer_literal
 from powdom.errors import ParseError, UnknownName
 from powdom.extnum import ExtNN
@@ -293,6 +293,26 @@ class TestCli:
         assert code == 0
         assert json.loads(out)["verdict"] == "pass"
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["check", "--relaxed", "rplus_max", "--trials", "100"],
+            ["powerdomain", "valuations", "grid2"],
+        ],
+    )
+    def test_reports_do_not_depend_on_hash_order(self, args):
+        # str and bytes hashes, and so set and dict iteration order, follow
+        # PYTHONHASHSEED; none of that order may reach the report.  ExtNN
+        # hashes ints only, so this cannot tell its hash from an earlier one;
+        # the suite sha256 pins in tests/test_report.py cover that
+        outputs = []
+        for hash_seed in ("0", "1"):
+            proc = run_cli(args, env_extra={"PYTHONHASHSEED": hash_seed})
+            assert proc.returncode == 0
+            outputs.append(proc.stdout)
+        assert outputs[0] == outputs[1]
+        assert json.loads(outputs[0])["verdict"] == "pass"
+
 
 def test_transformer_prints_its_own_algebra_name(tmp_path, capsys):
     # frame2 and lattice2 compare equal as algebras; a space built for one
@@ -386,6 +406,15 @@ def test_non_monotone_transformer_names_the_cover(tmp_path, statement, message):
     with pytest.raises(ParseError) as err:
         load_workspace([str(defs)])
     assert str(err.value) == f"{defs}:1: {message}"
+
+
+def test_commands_in_one_process_share_a_parser_but_no_arguments(sample_path, capsys):
+    assert main(["valuation", "mu", "-f", sample_path, "--trials", "100"]) == 0
+    # the -f list of the first command must not reach the second
+    assert main(["valuation", "mu", "--trials", "100"]) == 2
+    capsys.readouterr()
+    assert build_parser() is build_parser()
+    assert build_parser().parse_args(["valuation", "mu"]).defs == []
 
 
 def test_builtin_algebras_are_built_once_and_handed_out_in_fresh_dicts(sample_path, monkeypatch):
