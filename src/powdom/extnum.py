@@ -159,3 +159,24 @@ def enn_sum(values) -> ExtNN:
     for v in values:
         total = total + v
     return total
+
+
+def enn_dot(pairs) -> ExtNN:
+    """The exact sum of ``a * b`` over the pairs, reduced once at the end.
+
+    A term with a zero factor adds nothing, which keeps ``0 * inf == 0``;
+    any other term with an infinite factor makes the sum infinite.
+    """
+    n, d = 0, 1
+    for a, b in pairs:
+        an, bn = a._n, b._n
+        if an == 0 or bn == 0:
+            continue
+        ad, bd = a._d, b._d
+        if ad == 0 or bd == 0:
+            return INF
+        td = ad * bd
+        n = n * td + an * bn * d
+        d *= td
+    g = gcd(n, d)
+    return ExtNN._wrap(n // g, d // g)

@@ -27,13 +27,15 @@ class MonoMap:
     table: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "table", tuple(self.table))
-        if len(self.table) != self.source.size:
+        table = tuple(self.table)
+        object.__setattr__(self, "table", table)
+        if len(table) != self.source.size:
             raise TypeMismatch("table length does not match source size")
-        if any(t < 0 or t >= self.target.size for t in self.table):
+        if table and (min(table) < 0 or max(table) >= len(self.target.labels)):
             raise TypeMismatch("table entry out of target range")
+        leq = self.target.leq
         for i, j in self.source.covers():
-            if not self.target.leq[self.table[i]][self.table[j]]:
+            if not leq[table[i]][table[j]]:
                 raise NotMonotone(
                     f"table violates monotonicity on "
                     f"{self.source.labels[i]} <= {self.source.labels[j]}"

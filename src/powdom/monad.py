@@ -2,9 +2,12 @@
 
 For a finite poset X and a finite observation algebra R, the predicates are
 the exponential [X -> R] and the functionals the double exponential
-[[X -> R] -> R].  The unit sends a point to evaluation at that point, and a
-state transformer t : X -> [[Y -> R] -> R] lifts to functionals by
-``lift(t)(phi)(g) = phi(x |-> t(x)(g))``.
+[[X -> R] -> R].  The unit sends a point to evaluation at that point.  A
+state transformer t : X -> [[Y -> R] -> R] has the predicate transformer
+``p(t)(g) = x |-> t(x)(g)``, and it lifts to functionals by precomposition
+with it: ``lift(t)(phi) = phi . p(t)``, i.e. ``g |-> phi(x |-> t(x)(g))``.
+Each transformer computes p(t) once and keeps it, so a lift is one table
+gather.
 
 Three families of functionals sit inside the full double exponential: the
 op-preserving ones (hom), the tag-relaxed ones, and the family generated
@@ -132,9 +135,26 @@ class StateTransformer:
         self.source = source
         self.space = space
         self.table = MonoMap(source, space.space.poset, table).table
+        self._p = None  # (size_guard, p(t)) once p(t) has been asked for
 
     def __call__(self, i: int) -> MonoMap:
         return self.space.functional(self.table[i])
+
+    def predicate_transformer(self, size_guard: int = DEFAULT_SIZE_GUARD) -> "PredicateTransformer":
+        """p(t): g |-> (x |-> t(x)(g)), computed on first use and kept."""
+        if self._p is None or self._p[0] != size_guard:
+            x_space = functional_space(self.source, self.space.algebra, size_guard)
+            functionals = [self.space.functional(k).table for k in self.table]
+            table = []
+            for g in range(len(self.space.predicates)):
+                try:
+                    table.append(
+                        x_space.predicates.index(tuple(f[g] for f in functionals))
+                    )
+                except TypeMismatch:
+                    raise NonMonotoneResult("transformed predicate is not monotone") from None
+            self._p = (size_guard, PredicateTransformer(self.space, x_space, tuple(table)))
+        return self._p[1]
 
     def __eq__(self, other):
         return (
@@ -188,23 +208,16 @@ def delta_transformer(x: FinPoset, algebra: FinAlgebra, size_guard: int = DEFAUL
 
 
 def kleisli_lift(t: StateTransformer, phi: MonoMap, size_guard: int = DEFAULT_SIZE_GUARD) -> MonoMap:
-    """lift(t)(phi): the functional g |-> phi(x |-> t(x)(g))."""
-    x_space = functional_space(t.source, t.space.algebra, size_guard)
-    if phi.source != x_space.predicates.poset:
+    """lift(t)(phi) = phi . p(t): the functional g |-> phi(x |-> t(x)(g))."""
+    p = t.predicate_transformer(size_guard)
+    if phi.source != p.x_space.predicates.poset:
         raise TypeMismatch("functional does not live over the transformer's source")
-    out = []
-    for g in range(len(t.space.predicates)):
-        inner = tuple(
-            t.space.functional(t.table[i]).table[g] for i in range(t.source.size)
-        )
-        try:
-            inner_idx = x_space.predicates.index(inner)
-        except TypeMismatch:
-            raise NonMonotoneResult(
-                "inner predicate of the lifting is not monotone"
-            ) from None
-        out.append(phi.table[inner_idx])
-    return MonoMap(t.space.predicates.poset, t.space.algebra.carrier, tuple(out))
+    phi_table = phi.table
+    return MonoMap(
+        t.space.predicates.poset,
+        t.space.algebra.carrier,
+        tuple(phi_table[i] for i in p.table),
+    )
 
 
 def functor_action(u: MonoMap, phi: MonoMap, algebra: FinAlgebra, size_guard: int = DEFAULT_SIZE_GUARD) -> MonoMap:
@@ -222,17 +235,7 @@ def functor_action(u: MonoMap, phi: MonoMap, algebra: FinAlgebra, size_guard: in
 
 def p_transform(t: StateTransformer, size_guard: int = DEFAULT_SIZE_GUARD) -> PredicateTransformer:
     """State to predicate transformer: g |-> (x |-> t(x)(g))."""
-    x_space = functional_space(t.source, t.space.algebra, size_guard)
-    table = []
-    for g in range(len(t.space.predicates)):
-        pred = tuple(
-            t.space.functional(t.table[i]).table[g] for i in range(t.source.size)
-        )
-        try:
-            table.append(x_space.predicates.index(pred))
-        except TypeMismatch:
-            raise NonMonotoneResult("transformed predicate is not monotone") from None
-    return PredicateTransformer(t.space, x_space, tuple(table))
+    return t.predicate_transformer(size_guard)
 
 
 def q_transform(s: PredicateTransformer, size_guard: int = DEFAULT_SIZE_GUARD) -> StateTransformer:

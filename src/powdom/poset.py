@@ -121,12 +121,6 @@ class FinPoset:
                     break
         return out
 
-    def up_mask(self, indices) -> int:
-        mask = 0
-        for i in indices:
-            mask |= self._up[i]
-        return mask
-
     def dot(self, name: str = "poset") -> str:
         """Hasse diagram (transitive reduction) in DOT, stable ordering."""
         lines = [f'digraph "{name}" {{', "  rankdir=BT;"]

@@ -22,7 +22,7 @@ from typing import Callable, ClassVar
 
 from .algebra import CheckOutcome, FinAlgebra, is_homomorphism
 from .errors import RejectInteger, TypeMismatch
-from .extnum import ExtNN, ONE, ZERO, enn_max, enn_min, enn_sum
+from .extnum import ExtNN, ONE, ZERO, enn_dot, enn_max, enn_min, enn_sum
 from .monad import functional_space
 from .poset import ElemSet, FinPoset, all_down_sets, all_up_sets, is_order_iso, set_inclusion_poset
 from .sampling import (
@@ -234,7 +234,8 @@ class SimpleValuation:
     def __call__(self, f: Predicate) -> ExtNN:
         if f.poset != self.poset:
             raise TypeMismatch("predicate lives over a different poset")
-        return enn_sum(w * f.values[p] for w, p in self.atoms)
+        values = f.values
+        return enn_dot([(w, values[p]) for w, p in self.atoms])
 
     def mass(self) -> ExtNN:
         return enn_sum(w for w, _ in self.atoms)

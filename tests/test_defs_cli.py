@@ -212,6 +212,16 @@ class TestCli:
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["powerdomain"]["count"] == 4
 
+    def test_powerdomain_valuations_linearity_is_exhaustive(self):
+        # the linearity record runs over the catalog valuations, the up-set
+        # characteristics and the scalar grid; it draws nothing
+        proc = run_cli(["powerdomain", "valuations", "C2"])
+        assert proc.returncode == 0
+        records = {r["name"]: r for r in json.loads(proc.stdout)["checks"]}
+        record = records["valuations:simple-valuations-linear"]
+        assert record["verdict"] == "pass"
+        assert record["mode"] == "exhaustive"
+
     def test_powerdomain_sober(self):
         proc = run_cli(["powerdomain", "sober", "C2"])
         assert proc.returncode == 0

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from powdom.errors import PowdomError
-from powdom.extnum import INF, ONE, ZERO, ExtNN, enn_max, enn_min, enn_sum
+from powdom.extnum import INF, ONE, ZERO, ExtNN, enn_dot, enn_max, enn_min, enn_sum
 from powdom.sampling import random_extnn
 
 _values = st.one_of(
@@ -222,3 +222,29 @@ class TestFractionOracle:
             assert got == want
             assert str(got) == str(want)
             assert hash(got) == hash(want)
+
+
+class TestDot:
+    def test_empty_sum_is_zero(self):
+        assert enn_dot([]) == ZERO
+
+    def test_zero_times_inf_adds_nothing(self):
+        half = ExtNN(Fraction(1, 2))
+        assert enn_dot([(ZERO, INF), (INF, ZERO), (half, ONE)]) == half
+
+    def test_positive_term_with_an_infinite_factor(self):
+        assert enn_dot([(ONE, ONE), (ExtNN(Fraction(1, 3)), INF)]) == INF
+        assert enn_dot([(INF, ExtNN(2))]) == INF
+
+    @pytest.mark.parametrize("seed", [0, 7, 42])
+    def test_matches_the_termwise_sum(self, seed):
+        rng = random.Random(seed)
+        for _ in range(500):
+            pairs = [
+                (random_extnn(rng), random_extnn(rng))
+                for _ in range(rng.randrange(0, 6))
+            ]
+            got = enn_dot(pairs)
+            want = enn_sum(a * b for a, b in pairs)
+            assert (got._n, got._d) == (want._n, want._d)
+

@@ -100,6 +100,42 @@ class TestComposition:
             MonoMap(c2, c2, (1, 0))
 
 
+class TestMonoMapDiagnostics:
+    """The checks run in a fixed order: length, then range, then monotonicity
+    on cover pairs; each raises its own message."""
+
+    def test_length_mismatch(self):
+        c2 = POSETS["C2"]
+        with pytest.raises(TypeMismatch, match="^table length does not match source size$"):
+            MonoMap(c2, c2, (0,))
+        with pytest.raises(TypeMismatch, match="^table length does not match source size$"):
+            MonoMap(c2, c2, (0, 1, 1))
+
+    def test_negative_entry(self):
+        c2 = POSETS["C2"]
+        with pytest.raises(TypeMismatch, match="^table entry out of target range$"):
+            MonoMap(c2, c2, (-1, 1))
+
+    def test_entry_equal_to_target_size(self):
+        c2 = POSETS["C2"]
+        with pytest.raises(TypeMismatch, match="^table entry out of target range$"):
+            MonoMap(c2, c2, (0, c2.size))
+
+    def test_range_error_before_monotonicity(self):
+        # (1, 0, 2) breaks monotonicity on the cover a <= b and has 2 outside
+        # the two-element target; the range check runs first
+        chain3 = POSETS["chain3"]
+        with pytest.raises(TypeMismatch, match="^table entry out of target range$"):
+            MonoMap(chain3, TWO, (1, 0, 2))
+        with pytest.raises(NotMonotone, match="^table violates monotonicity on "):
+            MonoMap(chain3, TWO, (1, 0, 1))
+
+    def test_length_error_before_range(self):
+        c2 = POSETS["C2"]
+        with pytest.raises(TypeMismatch, match="^table length does not match source size$"):
+            MonoMap(c2, c2, (5,))
+
+
 class TestPrecompose:
     def test_identity(self):
         c2 = POSETS["C2"]

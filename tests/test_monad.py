@@ -4,7 +4,7 @@ import pytest
 
 from powdom import catalog
 from powdom.algebra import FinAlgebra, OpSpec, OpTag, Signature, is_homomorphism
-from powdom.errors import NotMonotone, TypeMismatch
+from powdom.errors import NotMonotone, SizeGuardExceeded, TypeMismatch
 from powdom.funcspace import MonoMap, compose, enumerate_monotone, identity_map
 from powdom.monad import (
     PredicateTransformer,
@@ -103,6 +103,78 @@ class TestKleisli:
         wrong = functional_space(y, r).space.maps[0]
         with pytest.raises(TypeMismatch):
             kleisli_lift(t, wrong)
+
+
+def pointwise_lift(t, phi):
+    """The defining formula of the lifting, g |-> phi(x |-> t(x)(g)), one
+    predicate at a time."""
+    xs = functional_space(t.source, t.space.algebra)
+    out = []
+    for g in range(len(t.space.predicates)):
+        inner = tuple(t(i).table[g] for i in range(t.source.size))
+        out.append(phi.table[xs.predicates.index(inner)])
+    return tuple(out)
+
+
+LIFT_ALGEBRAS = [ALGS["2_ang"], ALGS["2_dem"], tagged_two_ang(OpTag.LE)]
+SMALL = ["one", "C2", "A2"]
+
+
+class TestLiftIsPrecomposition:
+    """lift(t)(phi) = phi . p(t), against the pointwise definition, over
+    every transformer between the small posets."""
+
+    @pytest.mark.parametrize("r", LIFT_ALGEBRAS, ids=lambda r: r.name)
+    @pytest.mark.parametrize("xn", SMALL)
+    @pytest.mark.parametrize("yn", SMALL)
+    def test_matches_the_pointwise_definition(self, r, xn, yn):
+        xs = functional_space(POSETS[xn], r)
+        ys = functional_space(POSETS[yn], r)
+        for t in all_state_transformers(POSETS[xn], ys):
+            for phi in xs.space.maps:
+                lifted = kleisli_lift(t, phi)
+                assert lifted.source == ys.predicates.poset
+                assert lifted.table == pointwise_lift(t, phi)
+                # a second lift through the same t reads the kept p(t)
+                assert kleisli_lift(t, phi).table == lifted.table
+                s = p_transform(t)
+                assert lifted.table == tuple(phi.table[i] for i in s.table)
+
+    @pytest.mark.parametrize("r", LIFT_ALGEBRAS, ids=lambda r: r.name)
+    def test_p_transform_is_the_kept_table(self, r):
+        x, y = POSETS["A2"], POSETS["C2"]
+        xs = functional_space(x, r)
+        ys = functional_space(y, r)
+        for t in all_state_transformers(x, ys):
+            s = p_transform(t)
+            assert s is p_transform(t)
+            assert s.x_space is xs and s.y_space is ys
+            for g in range(len(ys.predicates)):
+                inner = tuple(t(i).table[g] for i in range(x.size))
+                assert s.table[g] == xs.predicates.index(inner)
+
+    def test_functional_over_the_wrong_poset(self):
+        r = ALGS["2_ang"]
+        x, y = POSETS["C2"], POSETS["A2"]
+        ys = functional_space(y, r)
+        for t in all_state_transformers(x, ys):
+            kleisli_lift(t, functional_space(x, r).space.maps[0])
+            with pytest.raises(TypeMismatch):
+                kleisli_lift(t, ys.space.maps[0])
+            with pytest.raises(TypeMismatch):
+                kleisli_lift(t, functional_space(POSETS["chain3"], r).space.maps[0])
+
+    def test_size_guard_still_applies_after_p_is_kept(self):
+        # p(t) kept under the default guard does not let a smaller guard
+        # skip the build of the source's spaces
+        r = ALGS["2_ang"]
+        x = POSETS["A2"]
+        xs = functional_space(x, r)
+        t = delta_transformer(x, r)
+        phi = xs.space.maps[0]
+        assert kleisli_lift(t, phi).table == phi.table
+        with pytest.raises(SizeGuardExceeded):
+            kleisli_lift(t, phi, size_guard=8)
 
 
 class TestFunctorAction:

@@ -4,7 +4,7 @@ import pytest
 
 from powdom import catalog
 from powdom.errors import RejectInteger, TypeMismatch
-from powdom.extnum import INF, ONE, ZERO, ExtNN
+from powdom.extnum import INF, ONE, ZERO, ExtNN, enn_sum
 from powdom.poset import all_down_sets, all_up_sets
 from powdom.powerdomain import (
     PredAlgebra,
@@ -29,7 +29,7 @@ from powdom.powerdomain import (
     sobrification,
     valuation_leq,
 )
-from powdom.sampling import task_rng
+from powdom.sampling import random_extnn, random_monotone_values, task_rng
 
 POSETS = catalog.builtin_posets()
 ALGS = catalog.builtin_algebras()
@@ -335,3 +335,60 @@ def test_max_of_diracs_fails_superadditivity():
     failed = [c for c in report.checks if not c.passed]
     assert "superadditive" in {c.name for c in failed}
     assert all(c.witness for c in failed)
+
+
+def _evaluation_cases():
+    """Seeded valuations and predicates on every catalog poset: 0 and inf
+    appear as weights and as values, with the empty valuation and the
+    all-zero predicate in every poset's set."""
+    for name in sorted(POSETS):
+        poset = POSETS[name]
+        n = poset.size
+        rng = task_rng(7, f"valuation-oracle.{name}")
+        vals = [SimpleValuation(poset, ()), SimpleValuation(poset, ((INF, 0), (ZERO, n - 1)))]
+        for _ in range(12):
+            atoms = tuple(
+                (
+                    rng.choice((ZERO, INF)) if rng.random() < 0.3 else random_extnn(rng),
+                    rng.randrange(n),
+                )
+                for _ in range(rng.randrange(1, n + 2))
+            )
+            vals.append(SimpleValuation(poset, atoms))
+        preds = [constant_predicate(poset, ZERO), constant_predicate(poset, INF)]
+        # 0 outside an up-set and inf inside it
+        preds += [
+            Predicate(poset, tuple(INF if i in u else ZERO for i in range(n)))
+            for u in all_up_sets(poset)
+        ]
+        preds += [Predicate(poset, random_monotone_values(poset, rng)) for _ in range(12)]
+        for mu in vals:
+            for f in preds:
+                yield mu, f
+
+
+def test_valuation_evaluation_matches_termwise_sum():
+    # the termwise oracle builds and reduces one ExtNN per term
+    seen = set()
+    for mu, f in _evaluation_cases():
+        got = mu(f)
+        want = enn_sum(w * f.values[p] for w, p in mu.atoms)
+        assert (got._n, got._d) == (want._n, want._d), (mu.literal(), f.literal())
+        if not mu.atoms:
+            seen.add("empty valuation")
+        if all(v == ZERO for v in f.values):
+            seen.add("all-zero predicate")
+        if any(w == INF and f.values[p] == ZERO for w, p in mu.atoms):
+            seen.add("inf weight on a zero value")
+        if any(w != ZERO and f.values[p] == INF for w, p in mu.atoms):
+            seen.add("positive weight on an inf value")
+        if got == INF:
+            seen.add("infinite result")
+    assert seen == {
+        "empty valuation",
+        "all-zero predicate",
+        "inf weight on a zero value",
+        "positive weight on an inf value",
+        "infinite result",
+    }
+
