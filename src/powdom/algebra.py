@@ -343,6 +343,17 @@ class CheckOutcome:
         return record
 
 
+def first_failure(name, witnesses, mode=EXHAUSTIVE) -> CheckOutcome:
+    """The verdict of a law walked as a lazy stream of failing instances.
+
+    ``witnesses`` yields one witness dict per failing instance, in check
+    order.  Only the first is taken, so nothing after it is generated: a
+    sampled phase draws from its stream only up to the failing instance.
+    """
+    witness = next(iter(witnesses), None)
+    return CheckOutcome(name, witness is None, mode, witness)
+
+
 def _require_same_signature(b, r):
     if b.signature != r.signature:
         raise SignatureMismatch(
@@ -369,17 +380,10 @@ def _interchange_check(algebra, sigma: str, omega: str, relation, rng=None, tria
     name = label or f"{relation}:{sigma},{omega}"
 
     def instance_fails(matrix, s_param, o_param):
-        lhs = algebra.apply(
-            sigma, tuple(algebra.apply(omega, matrix[i], o_param) for i in range(n)), s_param
-        )
-        rhs = algebra.apply(
-            omega,
-            tuple(
-                algebra.apply(sigma, tuple(matrix[i][j] for i in range(n)), s_param)
-                for j in range(m)
-            ),
-            o_param,
-        )
+        rows = tuple(algebra.apply(omega, matrix[i], o_param) for i in range(n))
+        lhs = algebra.apply(sigma, rows, s_param)
+        columns = (tuple(matrix[i][j] for i in range(n)) for j in range(m))
+        rhs = algebra.apply(omega, tuple(algebra.apply(sigma, c, s_param) for c in columns), o_param)
         if _relation_holds(relation, algebra, lhs, rhs):
             return None
         return {
@@ -393,24 +397,18 @@ def _interchange_check(algebra, sigma: str, omega: str, relation, rng=None, tria
             "rhs": algebra.value_str(rhs),
         }
 
-    for s_param in algebra.grid_params(sigma):
-        for o_param in algebra.grid_params(omega):
-            for flat in algebra.grid_tuples(n * m):
-                matrix = tuple(flat[i * m : (i + 1) * m] for i in range(n))
-                witness = instance_fails(matrix, s_param, o_param)
-                if witness is not None:
-                    return CheckOutcome(name, False, algebra.check_mode, witness)
-    if not algebra.exhaustive and rng is not None:
-        for _ in range(trials):
-            matrix = tuple(
-                algebra.sample_tuple(m, rng) for _ in range(n)
-            )
-            witness = instance_fails(
-                matrix, algebra.sample_param(sigma, rng), algebra.sample_param(omega, rng)
-            )
-            if witness is not None:
-                return CheckOutcome(name, False, algebra.check_mode, witness)
-    return CheckOutcome(name, True, algebra.check_mode)
+    def instances():
+        for s_param in algebra.grid_params(sigma):
+            for o_param in algebra.grid_params(omega):
+                for flat in algebra.grid_tuples(n * m):
+                    yield tuple(flat[i * m : (i + 1) * m] for i in range(n)), s_param, o_param
+        if not algebra.exhaustive and rng is not None:
+            for _ in range(trials):
+                matrix = tuple(algebra.sample_tuple(m, rng) for _ in range(n))
+                yield matrix, algebra.sample_param(sigma, rng), algebra.sample_param(omega, rng)
+
+    witnesses = filter(None, itertools.starmap(instance_fails, instances()))
+    return first_failure(name, witnesses, algebra.check_mode)
 
 
 def commutes(algebra, sigma: str, omega: str, rng=None, trials=0) -> CheckOutcome:
@@ -466,7 +464,6 @@ def _as_callable(phi, b, r):
 def _morphism_check(phi, b, r, relation_for, rng, trials, name) -> CheckOutcome:
     _require_same_signature(b, r)
     fn = _as_callable(phi, b, r)
-    mode = b.check_mode
 
     def instance_fails(op, relation, args, param):
         lhs = fn(b.apply(op.symbol, args, param))
@@ -482,26 +479,21 @@ def _morphism_check(phi, b, r, relation_for, rng, trials, name) -> CheckOutcome:
             "rhs": r.value_str(rhs),
         }
 
-    for op in b.signature.ops:
-        relation = relation_for(op)
-        if relation is None:
-            continue
-        for param in b.grid_params(op.symbol):
-            for args in b.grid_tuples(op.arity):
-                witness = instance_fails(op, relation, args, param)
-                if witness is not None:
-                    return CheckOutcome(name, False, mode, witness)
-        if not b.exhaustive and rng is not None:
-            for _ in range(trials):
-                witness = instance_fails(
-                    op,
-                    relation,
-                    b.sample_tuple(op.arity, rng),
-                    b.sample_param(op.symbol, rng),
-                )
-                if witness is not None:
-                    return CheckOutcome(name, False, mode, witness)
-    return CheckOutcome(name, True, mode)
+    def instances():
+        for op in b.signature.ops:
+            relation = relation_for(op)
+            if relation is None:
+                continue
+            for param in b.grid_params(op.symbol):
+                for args in b.grid_tuples(op.arity):
+                    yield op, relation, args, param
+            if not b.exhaustive and rng is not None:
+                for _ in range(trials):
+                    args = b.sample_tuple(op.arity, rng)
+                    yield op, relation, args, b.sample_param(op.symbol, rng)
+
+    witnesses = filter(None, itertools.starmap(instance_fails, instances()))
+    return first_failure(name, witnesses, b.check_mode)
 
 
 def is_homomorphism(phi, b, r, rng=None, trials=0) -> CheckOutcome:
@@ -695,38 +687,37 @@ def check_module_axioms(action: EndoAction, algebra, rng=None, trials=DEFAULT_TR
     sampled = not algebra.exhaustive and rng is not None and action.sample_endo is not None
     mode = algebra.check_mode
 
-    def fail(name, detail):
-        return CheckOutcome(name, False, mode, detail)
-
     checks = []
 
-    def run_axiom(name, endo_count, value_count, test):
-        # grid/exhaustive phase
-        for es in itertools.product(action.grid_endos, repeat=endo_count):
-            for xs in algebra.grid_tuples(value_count):
-                detail = test(es, xs)
-                if detail is not None:
-                    checks.append(fail(name, detail))
-                    return
-        # sampled joint phase on the infinite carrier
-        if sampled:
-            for _ in range(trials):
-                es = tuple(action.sample_endo(rng) for _ in range(endo_count))
-                xs = algebra.sample_tuple(value_count, rng)
-                detail = test(es, xs)
-                if detail is not None:
-                    checks.append(fail(name, detail))
-                    return
-        checks.append(CheckOutcome(name, True, mode))
+    def run_axiom(name, endo_count, value_count, test, params=(None,)):
+        def instances():
+            # grid/exhaustive phase
+            for es in itertools.product(action.grid_endos, repeat=endo_count):
+                for xs in algebra.grid_tuples(value_count):
+                    for param in params:
+                        yield es, xs, param
+            # sampled joint phase on the infinite carrier; op parameters
+            # stay on the grid
+            if sampled:
+                for _ in range(trials):
+                    es = tuple(action.sample_endo(rng) for _ in range(endo_count))
+                    xs = algebra.sample_tuple(value_count, rng)
+                    for param in params:
+                        yield es, xs, param
 
-    def ax1(es, xs):
+        checks.append(first_failure(name, filter(None, itertools.starmap(test, instances())), mode))
+
+    def param_str(param):
+        return None if param is None else algebra.value_str(param)
+
+    def ax1(es, xs, param):
         (x,) = xs
         got = action.act(action.identity, x)
         if not algebra.eq(got, x):
             return {"x": algebra.value_str(x), "got": algebra.value_str(got)}
         return None
 
-    def ax2(es, xs):
+    def ax2(es, xs, param):
         e1, e2 = es
         (x,) = xs
         lhs = action.act(action.compose(e1, e2), x)
@@ -744,41 +735,39 @@ def check_module_axioms(action: EndoAction, algebra, rng=None, trials=DEFAULT_TR
     run_axiom("ax2:composition", 2, 1, ax2)
 
     for op in algebra.signature.ops:
-        params = algebra.grid_params(op.symbol)
 
-        def ax3(es, xs, op=op, params=params):
+        def ax3(es, xs, param, op=op):
             (x,) = xs
-            for param in params:
-                lhs = action.act(action.op_on_endos(op.symbol, es, param), x)
-                rhs = algebra.apply(
-                    op.symbol, tuple(action.act(e, x) for e in es), param
-                )
-                if not algebra.eq(lhs, rhs):
-                    return {
-                        "op": op.symbol,
-                        "endos": [action.describe(e) for e in es],
-                        "x": algebra.value_str(x),
-                        "lhs": algebra.value_str(lhs),
-                        "rhs": algebra.value_str(rhs),
-                    }
+            lhs = action.act(action.op_on_endos(op.symbol, es, param), x)
+            rhs = algebra.apply(op.symbol, tuple(action.act(e, x) for e in es), param)
+            if not algebra.eq(lhs, rhs):
+                return {
+                    "op": op.symbol,
+                    "param": param_str(param),
+                    "endos": [action.describe(e) for e in es],
+                    "x": algebra.value_str(x),
+                    "lhs": algebra.value_str(lhs),
+                    "rhs": algebra.value_str(rhs),
+                }
             return None
 
-        def ax4(es, xs, op=op, params=params):
+        def ax4(es, xs, param, op=op):
             (e,) = es
-            for param in params:
-                lhs = action.act(e, algebra.apply(op.symbol, xs, param))
-                rhs = algebra.apply(op.symbol, tuple(action.act(e, x) for x in xs), param)
-                if not algebra.eq(lhs, rhs):
-                    return {
-                        "op": op.symbol,
-                        "endo": action.describe(e),
-                        "args": [algebra.value_str(x) for x in xs],
-                        "lhs": algebra.value_str(lhs),
-                        "rhs": algebra.value_str(rhs),
-                    }
+            lhs = action.act(e, algebra.apply(op.symbol, xs, param))
+            rhs = algebra.apply(op.symbol, tuple(action.act(e, x) for x in xs), param)
+            if not algebra.eq(lhs, rhs):
+                return {
+                    "op": op.symbol,
+                    "param": param_str(param),
+                    "endo": action.describe(e),
+                    "args": [algebra.value_str(x) for x in xs],
+                    "lhs": algebra.value_str(lhs),
+                    "rhs": algebra.value_str(rhs),
+                }
             return None
 
-        run_axiom(f"ax3:ops-pointwise:{op.symbol}", op.arity, 1, ax3)
-        run_axiom(f"ax4:endo-preserves:{op.symbol}", 1, op.arity, ax4)
+        params = algebra.grid_params(op.symbol)
+        run_axiom(f"ax3:ops-pointwise:{op.symbol}", op.arity, 1, ax3, params)
+        run_axiom(f"ax4:endo-preserves:{op.symbol}", 1, op.arity, ax4, params)
 
     return CheckOutcome.composite("module-axioms", checks, mode)

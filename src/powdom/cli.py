@@ -10,6 +10,7 @@ error, 3 size guard exceeded.
 from __future__ import annotations
 
 import argparse
+import itertools
 import os
 import sys
 import time
@@ -18,6 +19,7 @@ from functools import cache
 from .algebra import (
     CheckOutcome,
     FinAlgebra,
+    first_failure,
     is_entropic,
     is_homomorphism,
     is_relaxed_entropic,
@@ -39,9 +41,9 @@ from .powerdomain import (
     chi,
     dirac,
     domination_check,
+    linearity_failures,
     sobrification,
     valuation_leq,
-    valuations_linear,
 )
 from .poset import all_up_sets, sub_poset
 from .report import Report
@@ -175,19 +177,16 @@ def _valuation_powerdomain(args, poset, report):
     """Desk-scale view of the valuation powerdomain: the point evaluations,
     their order (an embedded copy of the poset), and the engine's laws."""
     diracs = [dirac(poset, i) for i in range(poset.size)]
-    embed_ok = all(
-        valuation_leq(diracs[i], diracs[j], args.size_guard) == poset.leq[i][j]
-        for i in range(poset.size)
-        for j in range(poset.size)
+    misordered = (
+        {"x": poset.labels[i], "y": poset.labels[j]}
+        for i, j in itertools.product(range(poset.size), repeat=2)
+        if valuation_leq(diracs[i], diracs[j], args.size_guard) != poset.leq[i][j]
     )
-    report.add(CheckOutcome("valuations:point-evaluations-embed", embed_ok))
+    report.add(first_failure("valuations:point-evaluations-embed", misordered))
     chis = [chi(u) for u in all_up_sets(poset, args.size_guard)]
-    lin_ok = valuations_linear(catalog_valuations(poset), chis, chis)
-    report.add(CheckOutcome("valuations:simple-valuations-linear", lin_ok))
-    return {
-        "points": [d.literal() for d in diracs],
-        "count": len(diracs),
-    }
+    failures = linearity_failures(catalog_valuations(poset), chis, chis)
+    report.add(first_failure("valuations:simple-valuations-linear", failures))
+    return {"points": [d.literal() for d in diracs], "count": len(diracs)}
 
 
 def _cmd_family(args, ws, report, family):

@@ -18,11 +18,11 @@ monad sitting inside the continuation monad.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .algebra import (
-    CheckOutcome,
     FinAlgebra,
+    first_failure,
     generated_subalgebra,
     is_homomorphism,
     is_relaxed_morphism,
@@ -90,6 +90,12 @@ class FunctionalSpace:
         if self._free is None:
             self._free = generated_subalgebra(self.func_algebra, self.delta_indices)
         return self._free
+
+    @cached_property
+    def unit(self) -> "StateTransformer":
+        """The unit X -> [[X -> R] -> R] as a state transformer, built once
+        so that its p(t) is computed once."""
+        return StateTransformer(self.x, self, self.delta_indices)
 
     def family_poset(self, indices) -> FinPoset:
         return sub_poset(self.space.poset, indices)
@@ -202,9 +208,9 @@ class PredicateTransformer:
 
 
 def delta_transformer(x: FinPoset, algebra: FinAlgebra, size_guard: int = DEFAULT_SIZE_GUARD) -> StateTransformer:
-    """The unit as a state transformer X -> [[X -> R] -> R]."""
-    space = functional_space(x, algebra, size_guard)
-    return StateTransformer(x, space, space.delta_indices)
+    """The unit as a state transformer X -> [[X -> R] -> R]; the same object
+    on every call for one space."""
+    return functional_space(x, algebra, size_guard).unit
 
 
 def kleisli_lift(t: StateTransformer, phi: MonoMap, size_guard: int = DEFAULT_SIZE_GUARD) -> MonoMap:
@@ -286,26 +292,28 @@ def check_monad_laws(x, y, z, algebra, t: StateTransformer, r: StateTransformer,
     if t.source != x or t.space.x != y or r.source != y or r.space.x != z:
         raise TypeMismatch("transformer endpoints do not match the stated posets")
     x_space = functional_space(x, algebra, size_guard)
-    checks = []
-
     unit = delta_transformer(x, algebra, size_guard)
-    ok = all(
-        kleisli_lift(unit, phi, size_guard).table == phi.table
-        for phi in x_space.space.maps
-    )
-    checks.append(CheckOutcome("monad:lift-of-unit-is-identity", ok))
-
-    ok = all(
-        kleisli_lift(t, x_space.delta(i), size_guard).table == t(i).table
-        for i in range(x.size)
-    )
-    checks.append(CheckOutcome("monad:lift-after-unit-is-plain", ok))
-
     rt = compose_transformers(t, r, size_guard)
-    ok = all(
-        kleisli_lift(rt, phi, size_guard).table
-        == kleisli_lift(r, kleisli_lift(t, phi, size_guard), size_guard).table
-        for phi in x_space.space.maps
-    )
-    checks.append(CheckOutcome("monad:lift-is-associative", ok))
-    return checks
+
+    def lift(s, phi):
+        return kleisli_lift(s, phi, size_guard)
+
+    maps = x_space.space.maps
+    return [
+        first_failure(
+            "monad:lift-of-unit-is-identity",
+            ({"phi": phi.key()} for phi in maps if lift(unit, phi).table != phi.table),
+        ),
+        first_failure(
+            "monad:lift-after-unit-is-plain",
+            (
+                {"point": label}
+                for i, label in enumerate(x.labels)
+                if lift(t, x_space.delta(i)).table != t(i).table
+            ),
+        ),
+        first_failure(
+            "monad:lift-is-associative",
+            ({"phi": phi.key()} for phi in maps if lift(rt, phi).table != lift(r, lift(t, phi)).table),
+        ),
+    ]

@@ -20,7 +20,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, ClassVar
 
-from .algebra import CheckOutcome, FinAlgebra, is_homomorphism
+from .algebra import CheckOutcome, FinAlgebra, first_failure, is_homomorphism
 from .errors import RejectInteger, TypeMismatch
 from .extnum import ExtNN, ONE, ZERO, enn_dot, enn_max, enn_min, enn_sum
 from .monad import functional_space
@@ -278,19 +278,18 @@ def valuation_leq(mu: SimpleValuation, nu: SimpleValuation, size_guard: int = DE
     )
 
 
-def valuations_linear(vals, pairs_over, scaled_over) -> bool:
-    """Each valuation is additive on every pair drawn from ``pairs_over``
-    and homogeneous over the scalar grid on every predicate in ``scaled_over``."""
+def linearity_failures(vals, pairs_over, scaled_over):
+    """Witnesses, in check order, that a valuation is not additive on a pair
+    drawn from ``pairs_over`` or not homogeneous over the scalar grid on a
+    predicate in ``scaled_over``."""
     for mu in vals:
-        for f in pairs_over:
-            for g in pairs_over:
-                if mu(pred_add(f, g)) != mu(f) + mu(g):
-                    return False
+        for f, g in itertools.product(pairs_over, repeat=2):
+            if mu(pred_add(f, g)) != mu(f) + mu(g):
+                yield {"mu": mu.literal(), "f": f.literal(), "g": g.literal()}
         for f in scaled_over:
             for r in SCALAR_GRID:
                 if mu(pred_scale(r, f)) != r * mu(f):
-                    return False
-    return True
+                    yield {"mu": mu.literal(), "r": str(r), "f": f.literal()}
 
 
 @dataclass(frozen=True)
@@ -453,20 +452,26 @@ def smyth_powerdomain(x: FinPoset, algebra_dem: FinAlgebra, size_guard: int = DE
     """
     result, space, supports = _set_powerdomain(SMYTH, x, algebra_dem, size_guard)
     whole = frozenset(range(x.size))
-    filter_ok = True
-    for i in space.hom_indices:
-        table = space.functional(i).table
-        ones = [u for g, u in enumerate(supports) if table[g] == 1]
-        if whole not in ones:
-            filter_ok = False
-        for u in ones:
-            for v in ones:
-                if u & v not in ones:
-                    filter_ok = False
-            for w in supports:
-                if u <= w and w not in ones:
-                    filter_ok = False
-    result.checks.append(CheckOutcome("smyth:preimages-are-filters", filter_ok))
+
+    def label(support):
+        return "{" + ",".join(x.labels[k] for k in sorted(support)) + "}"
+
+    def failures():
+        for i in space.hom_indices:
+            phi = space.functional(i)
+            ones = [u for u, v in zip(supports, phi.table) if v == 1]
+            if whole not in ones:
+                yield {"functional": phi.key(), "missing": label(whole)}
+            for u in ones:
+                for v in ones:
+                    if u & v not in ones:
+                        sets = [label(u), label(v)]
+                        yield {"functional": phi.key(), "sets": sets, "missing": label(u & v)}
+                for w in supports:
+                    if u <= w and w not in ones:
+                        yield {"functional": phi.key(), "sets": [label(u)], "missing": label(w)}
+
+    result.checks.append(first_failure("smyth:preimages-are-filters", failures()))
     return result
 
 
@@ -516,38 +521,24 @@ def _predicate_pairs(poset, rng, trials, size_guard):
 
 def _homogeneity_check(phi, poset, rng, trials, size_guard):
     chis = [chi(u) for u in all_up_sets(poset, size_guard)]
+    # every scalar walks the same predicates, so the samples are drawn up front
     preds = chis + [random_predicate(poset, rng) for _ in range(trials)]
-    for r in SCALAR_GRID:
-        for f in preds:
-            lhs = phi(pred_scale(r, f))
-            rhs = r * phi(f)
-            if lhs != rhs:
-                return CheckOutcome(
-                    "homogeneity",
-                    False,
-                    SAMPLED,
-                    {"r": str(r), "f": f.literal(), "lhs": str(lhs), "rhs": str(rhs)},
-                )
-    return CheckOutcome("homogeneity", True, SAMPLED)
+    witnesses = (
+        {"r": str(r), "f": f.literal(), "lhs": str(lhs), "rhs": str(rhs)}
+        for r in SCALAR_GRID
+        for f in preds
+        if (lhs := phi(pred_scale(r, f))) != (rhs := r * phi(f))
+    )
+    return first_failure("homogeneity", witnesses, SAMPLED)
 
 
 def _pair_law_check(name, phi, poset, rng, trials, size_guard, combine, combine_values, holds):
-    for f, g in _predicate_pairs(poset, rng, trials, size_guard):
-        lhs = phi(combine(f, g))
-        rhs = combine_values(phi(f), phi(g))
-        if not holds(lhs, rhs):
-            return CheckOutcome(
-                name,
-                False,
-                SAMPLED,
-                {
-                    "f": f.literal(),
-                    "g": g.literal(),
-                    "lhs": str(lhs),
-                    "rhs": str(rhs),
-                },
-            )
-    return CheckOutcome(name, True, SAMPLED)
+    witnesses = (
+        {"f": f.literal(), "g": g.literal(), "lhs": str(lhs), "rhs": str(rhs)}
+        for f, g in _predicate_pairs(poset, rng, trials, size_guard)
+        if not holds(lhs := phi(combine(f, g)), rhs := combine_values(phi(f), phi(g)))
+    )
+    return first_failure(name, witnesses, SAMPLED)
 
 
 def check_linear_side(phi, side: LinearSide, trials: int = DEFAULT_TRIALS, seed: int = 42, size_guard: int = DEFAULT_SIZE_GUARD) -> CheckOutcome:
@@ -607,16 +598,15 @@ def domination_check(mu: SimpleValuation, phi, trials: int = DEFAULT_TRIALS, see
     if mu.poset != phi.poset:
         raise TypeMismatch("valuation and functional live over different posets")
     side = SUBLINEAR if isinstance(phi, SubFn) else SUPERLINEAR
-    name = side.domination
     rng = task_rng(seed, "domination")
     chis = [chi(u) for u in all_up_sets(mu.poset, size_guard)]
-    preds = chis + [random_predicate(mu.poset, rng) for _ in range(trials)]
-    for f in preds:
-        a, b = mu(f), phi(f)
-        if not _oriented_leq(side.below, a, b):
-            witness = {"f": f.literal(), "mu": str(a), "phi": str(b)}
-            return CheckOutcome(name, False, SAMPLED, witness)
-    return CheckOutcome(name, True, SAMPLED)
+    samples = (random_predicate(mu.poset, rng) for _ in range(trials))
+    witnesses = (
+        {"f": f.literal(), "mu": str(a), "phi": str(b)}
+        for f in itertools.chain(chis, samples)
+        if not _oriented_leq(side.below, a := mu(f), b := phi(f))
+    )
+    return first_failure(side.domination, witnesses, SAMPLED)
 
 
 def non_integer_witness(x: FinPoset, point: int, r: ExtNN, rat_monoid, trials: int = DEFAULT_TRIALS, seed: int = 42, size_guard: int = DEFAULT_SIZE_GUARD) -> CheckOutcome:

@@ -6,6 +6,11 @@ closure and morphism properties of the functional families, the
 state/predicate transformer correspondence, the set-based powerdomain
 cross-checks, and the valuation engine.  Records are deterministic given
 the configuration, including every seed used.
+
+Each law walks its instances lazily through ``first_failure``: a failing
+record names its first failing instance in ``witness`` (posets by name,
+maps, predicates, valuations and envelopes by their literals, transformers
+by their tables), and the instances after it are not checked.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ from .algebra import (
     Signature,
     check_module_axioms,
     commutes,
+    first_failure,
     generated_subalgebra,
     is_entropic,
     is_homomorphism,
@@ -50,11 +56,11 @@ from .powerdomain import (
     check_linear_side,
     chi,
     cone_combine,
+    linearity_failures,
     pred_add,
     random_predicate,
     sobrification,
     valuation_leq,
-    valuations_linear,
 )
 from .report import Report
 from .sampling import (
@@ -91,32 +97,52 @@ class SuiteConfig:
         return task_rng(self.seed, label)
 
 
+def _transformer(t):
+    """A state transformer as its table: each point's functional key."""
+    return {label: t(i).key() for i, label in enumerate(t.source.labels)}
+
+
+def _predicate_table(ys, xs, table):
+    """A predicate transformer as its table: each predicate's image, by key."""
+    return {g.key(): xs.predicates.maps[v].key() for g, v in zip(ys.predicates.maps, table)}
+
+
+def _keys(space, indices):
+    return [space.functional(i).key() for i in indices]
+
+
+def _grouped(name, checks):
+    """One suite record for grouped checks; a failure names the failing ones."""
+    failed = [c.name for c in checks if not c.passed]
+    return CheckOutcome(name, not failed, witness={"failed": failed} if failed else None)
+
+
 # ---------------------------------------------------------------------------
 # exact arithmetic
 
+EXTNUM_LAWS = {
+    "add-associative": lambda a, b, c: a + (b + c) == (a + b) + c,
+    "add-commutative": lambda a, b, c: a + b == b + a,
+    "add-unit": lambda a, b, c: a + ZERO == a,
+    "mul-distributes": lambda a, b, c: a * (b + c) == a * b + a * c,
+    "ops-monotone": lambda a, b, c: not b <= c or (a * b <= a * c and b * a <= c * a and a + b <= a + c),
+}
+
 
 def check_extnum(cfg: SuiteConfig):
-    checks = []
     rng = cfg.rng("extnum")
     triples = list(itertools.product(MONOID_GRID, repeat=3))
     triples += [
         tuple(random_extnn(rng) for _ in range(3)) for _ in range(cfg.trials)
     ]
-    ok = all(a + (b + c) == (a + b) + c for a, b, c in triples)
-    checks.append(CheckOutcome("extnum.add-associative", ok, SAMPLED))
-    ok = all(a + b == b + a for a, b, _ in triples)
-    checks.append(CheckOutcome("extnum.add-commutative", ok, SAMPLED))
-    ok = all(a + ZERO == a for a, _, _ in triples)
-    checks.append(CheckOutcome("extnum.add-unit", ok, SAMPLED))
-    ok = all(a * (b + c) == a * b + a * c for a, b, c in triples)
-    checks.append(CheckOutcome("extnum.mul-distributes", ok, SAMPLED))
-    ok = all(
-        (a * b <= a * c) and (b * a <= c * a) and (a + b <= a + c)
-        for a, b, c in triples
-        if b <= c
-    )
-    checks.append(CheckOutcome("extnum.ops-monotone", ok, SAMPLED))
-    return checks
+    return [
+        first_failure(
+            f"extnum.{law}",
+            ({"a": str(a), "b": str(b), "c": str(c)} for a, b, c in triples if not holds(a, b, c)),
+            SAMPLED,
+        )
+        for law, holds in EXTNUM_LAWS.items()
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -128,17 +154,15 @@ def check_posets(cfg: SuiteConfig):
     for name, poset in cfg.posets().items():
         ups = all_up_sets(poset, cfg.size_guard)
         downs = all_down_sets(poset, cfg.size_guard)
-        ok = len(ups) == len(downs) and sorted(
-            u.complement().mask for u in ups
-        ) == sorted(d.mask for d in downs)
+        ok = sorted(u.complement().mask for u in ups) == sorted(d.mask for d in downs)
         checks.append(CheckOutcome(f"poset.updown-duality.{name}", ok))
         masks = {u.mask for u in ups}
-        ok = all(
-            (a.mask | b.mask) in masks and (a.mask & b.mask) in masks
-            for a in ups
-            for b in ups
+        unclosed = (
+            {"a": a.label(), "b": b.label()}
+            for a, b in itertools.product(ups, repeat=2)
+            if (a.mask | b.mask) not in masks or (a.mask & b.mask) not in masks
         )
-        checks.append(CheckOutcome(f"poset.opens-closed-under-union-meet.{name}", ok))
+        checks.append(first_failure(f"poset.opens-closed-under-union-meet.{name}", unclosed))
         rebuilt = poset_from_cover(
             poset.labels,
             [(poset.labels[i], poset.labels[j]) for i, j in poset.covers()],
@@ -158,30 +182,23 @@ def check_funcspace(cfg: SuiteConfig):
     two = catalog.TWO
     for name, poset in named.items():
         expo = enumerate_monotone(poset, two, cfg.size_guard)
+        pairs = [(i, j) for i, j in itertools.product(range(poset.size), repeat=2) if poset.leq[i][j]]
         brute = sum(
-            1
+            all(two.leq[table[i]][table[j]] for i, j in pairs)
             for table in itertools.product(range(two.size), repeat=poset.size)
-            if all(
-                two.leq[table[i]][table[j]]
-                for i in range(poset.size)
-                for j in range(poset.size)
-                if poset.leq[i][j]
-            )
         )
         checks.append(CheckOutcome(f"funcspace.count-vs-bruteforce.{name}", len(expo) == brute))
-    ok = True
-    for (xn, x), (yn, y), (zn, z) in itertools.product(small.items(), repeat=3):
-        us = enumerate_monotone(x, y, cfg.size_guard).maps
-        vs = enumerate_monotone(y, z, cfg.size_guard).maps
-        gs = enumerate_monotone(z, two, cfg.size_guard).maps
-        for u in us:
-            for v in vs:
-                for g in gs:
-                    if precompose(compose(u, v), g).table != precompose(
-                        u, precompose(v, g)
-                    ).table:
-                        ok = False
-    checks.append(CheckOutcome("funcspace.precompose-functorial", ok))
+
+    def failures():
+        for (xn, x), (yn, y), (zn, z) in itertools.product(small.items(), repeat=3):
+            us = enumerate_monotone(x, y, cfg.size_guard).maps
+            vs = enumerate_monotone(y, z, cfg.size_guard).maps
+            gs = enumerate_monotone(z, two, cfg.size_guard).maps
+            for u, v, g in itertools.product(us, vs, gs):
+                if precompose(compose(u, v), g).table != precompose(u, precompose(v, g)).table:
+                    yield {"x": xn, "y": yn, "z": zn, "u": u.entries(), "v": v.entries(), "g": g.entries()}
+
+    checks.append(first_failure("funcspace.precompose-functorial", failures()))
     return checks
 
 
@@ -199,95 +216,95 @@ def _two_ang_le() -> FinAlgebra:
     )
 
 
+def _family_check(name, posets, r, family, members, cfg):
+    """``members(space)`` lies inside the ``family`` indices on every poset;
+    a failure names the poset and the functionals outside."""
+
+    def failures():
+        for pname, poset in posets.items():
+            space = functional_space(poset, r, cfg.size_guard)
+            outside = sorted(set(members(space)) - set(getattr(space, family)))
+            if outside:
+                yield {"poset": pname, "outside": _keys(space, outside)}
+
+    return first_failure(name, failures())
+
+
 def check_algebra_laws(cfg: SuiteConfig):
     checks = []
     algs = catalog.builtin_algebras()
-    rng = cfg.rng("algebra.entropic")
 
-    for name, expected in (
-        ("2_ang", True),
-        ("2_dem", True),
-        ("frame2", False),
-        ("lattice2", False),
-        ("rplus", True),
-        ("rplus_semiring", False),
-    ):
-        report = is_entropic(algs[name], cfg.rng(f"entropic.{name}"), cfg.trials)
+    entropic = {
+        "2_ang": True, "2_dem": True, "frame2": False,
+        "lattice2": False, "rplus": True, "rplus_semiring": False,
+    }
+    cases = [("entropic", "entropic", is_entropic, n, e) for n, e in entropic.items()]
+    cases += [
+        ("relaxed-entropic", "relaxed", is_relaxed_entropic, n, True)
+        for n in ("rplus_max", "rplus_min")
+    ]
+    for law, label, check, name, expected in cases:
+        report = check(algs[name], cfg.rng(f"{label}.{name}"), cfg.trials)
+        ok = report.passed == expected
         checks.append(
-            CheckOutcome(
-                f"algebra.entropic.{name}",
-                report.passed == expected,
-                report.mode,
-                None if report.passed == expected else report.as_record(),
-            )
-        )
-    for name in ("rplus_max", "rplus_min"):
-        report = is_relaxed_entropic(algs[name], cfg.rng(f"relaxed.{name}"), cfg.trials)
-        checks.append(
-            CheckOutcome(
-                f"algebra.relaxed-entropic.{name}",
-                report.passed,
-                report.mode,
-                None if report.passed else report.as_record(),
-            )
+            CheckOutcome(f"algebra.{law}.{name}", ok, report.mode, None if ok else report.as_record())
         )
 
     # interchange symmetry: the law for (sigma, omega) transposes to (omega, sigma)
-    sym_ok = True
-    for name in ("2_ang", "2_dem", "frame2", "rplus_semiring"):
-        alg = algs[name]
-        for s in alg.signature.symbols():
-            for o in alg.signature.symbols():
+    def asymmetric():
+        for name in ("2_ang", "2_dem", "frame2", "rplus_semiring"):
+            alg = algs[name]
+            for s, o in itertools.product(alg.signature.symbols(), repeat=2):
                 a = commutes(alg, s, o, cfg.rng(f"sym.{name}.{s}.{o}"), cfg.trials // 10)
                 b = commutes(alg, o, s, cfg.rng(f"sym.{name}.{o}.{s}"), cfg.trials // 10)
                 if a.passed != b.passed:
-                    sym_ok = False
-    checks.append(CheckOutcome("algebra.interchange-symmetric", sym_ok, SAMPLED))
+                    yield {"algebra": name, "sigma": s, "omega": o}
+
+    checks.append(first_failure("algebra.interchange-symmetric", asymmetric(), SAMPLED))
 
     # the mixed inequational laws backing the sublinear/superlinear checks
-    sub1 = subcommutes(algs["rplus_max"], "max", "add", cfg.rng("sub.max.add"), cfg.trials)
-    checks.append(CheckOutcome("algebra.max-subcommutes-add", sub1.passed, sub1.mode, sub1.witness))
-    sub2 = subcommutes(algs["rplus_min"], "add", "min", cfg.rng("sub.add.min"), cfg.trials)
-    checks.append(CheckOutcome("algebra.add-subcommutes-min", sub2.passed, sub2.mode, sub2.witness))
+    for name, s, o in (("rplus_max", "max", "add"), ("rplus_min", "add", "min")):
+        outcome = subcommutes(algs[name], s, o, cfg.rng(f"sub.{s}.{o}"), cfg.trials)
+        outcome.name = f"algebra.{s}-subcommutes-{o}"
+        checks.append(outcome)
 
     # closure of morphism families under the lifted ops
     posets = cfg.posets()
-    for rname in ("2_ang", "2_dem"):
-        r = algs[rname]
-        ok = True
-        for pname, poset in posets.items():
-            space = functional_space(poset, r, cfg.size_guard)
-            homs = set(space.hom_indices)
-            if set(generated_subalgebra(space.func_algebra, space.hom_indices)) != homs:
-                ok = False
-        checks.append(CheckOutcome(f"algebra.hom-set-closed.{rname}", ok))
-    r = _two_ang_le()
-    ok = True
-    for pname, poset in posets.items():
-        space = functional_space(poset, r, cfg.size_guard)
-        relaxed = set(space.relaxed_indices)
-        if set(generated_subalgebra(space.func_algebra, space.relaxed_indices)) != relaxed:
-            ok = False
-    checks.append(CheckOutcome("algebra.relaxed-set-closed.2_ang_le", ok))
+    for name, r, family in (
+        ("hom-set-closed.2_ang", algs["2_ang"], "hom_indices"),
+        ("hom-set-closed.2_dem", algs["2_dem"], "hom_indices"),
+        ("relaxed-set-closed.2_ang_le", _two_ang_le(), "relaxed_indices"),
+    ):
 
-    # closure operator laws for generated subalgebras
-    lifted = functional_space(posets["A2"], algs["2_ang"], cfg.size_guard).func_algebra
+        def closure(space, family=family):
+            return generated_subalgebra(space.func_algebra, getattr(space, family))
+
+        checks.append(_family_check(f"algebra.{name}", posets, r, family, closure, cfg))
+
+    # closure operator laws for generated subalgebras; the enlargements are
+    # drawn after all the subsets, one per subset in subset order
+    space = functional_space(posets["A2"], algs["2_ang"], cfg.size_guard)
+    lifted = space.func_algebra
     n = lifted.carrier.size
     gen_rng = cfg.rng("algebra.closure")
     subsets = [
         tuple(sorted(gen_rng.sample(range(n), gen_rng.randrange(0, n + 1))))
         for _ in range(40)
     ]
-    mono_ok = idem_ok = True
-    for gens in subsets:
-        closed = generated_subalgebra(lifted, gens)
-        if generated_subalgebra(lifted, closed) != closed:
-            idem_ok = False
-        bigger = tuple(sorted(set(gens) | {gen_rng.randrange(n)})) if n else gens
-        if not set(closed) <= set(generated_subalgebra(lifted, bigger)):
-            mono_ok = False
-    checks.append(CheckOutcome("algebra.closure-idempotent", idem_ok, SAMPLED))
-    checks.append(CheckOutcome("algebra.closure-monotone", mono_ok, SAMPLED))
+    bigger = [tuple(sorted(set(g) | {gen_rng.randrange(n)})) if n else g for g in subsets]
+    closed = [generated_subalgebra(lifted, gens) for gens in subsets]
+    not_idempotent = (
+        {"generators": _keys(space, gens)}
+        for gens, c in zip(subsets, closed)
+        if generated_subalgebra(lifted, c) != c
+    )
+    not_monotone = (
+        {"generators": _keys(space, gens), "enlarged": _keys(space, big)}
+        for gens, big, c in zip(subsets, bigger, closed)
+        if not set(c) <= set(generated_subalgebra(lifted, big))
+    )
+    checks.append(first_failure("algebra.closure-idempotent", not_idempotent, SAMPLED))
+    checks.append(first_failure("algebra.closure-monotone", not_monotone, SAMPLED))
     return checks
 
 
@@ -302,166 +319,146 @@ def check_monad(cfg: SuiteConfig):
     two_algs = [algs["2_ang"], algs["2_dem"]]
 
     # the unit is an order embedding
-    ok = True
-    for pname, poset in posets.items():
-        for r in two_algs:
+    def not_embedded():
+        for (pname, poset), r in itertools.product(posets.items(), two_algs):
             ds = delta(poset, r, cfg.size_guard)
-            for i in range(poset.size):
-                for j in range(poset.size):
-                    if poset.leq[i][j] != ds[i].leq(ds[j]):
-                        ok = False
-    checks.append(CheckOutcome("monad.unit-order-embedding", ok))
+            for i, j in itertools.product(range(poset.size), repeat=2):
+                if poset.leq[i][j] != ds[i].leq(ds[j]):
+                    yield {"poset": pname, "algebra": r.name, "x": poset.labels[i], "y": poset.labels[j]}
 
-    small = [posets[k] for k in ("one", "C2", "A2")]
+    checks.append(first_failure("monad.unit-order-embedding", not_embedded()))
+
+    def spaces():
+        small = {k: posets[k] for k in ("one", "C2", "A2")}
+        for r in two_algs:
+            for (xn, x), (yn, y) in itertools.product(small.items(), repeat=2):
+                xs = functional_space(x, r, cfg.size_guard)
+                ys = functional_space(y, r, cfg.size_guard)
+                yield {"algebra": r.name, "x": xn, "y": yn}, xs, ys
+
+    def lift(t, i, xs):
+        return kleisli_lift(t, xs.functional(i), cfg.size_guard).table
 
     # the lifting preserves the pointwise ops and the hom family
-    lift_hom_ok = preserves_ok = True
-    for r in two_algs:
-        for x in small:
-            for y in small:
-                xs = functional_space(x, r, cfg.size_guard)
-                ys = functional_space(y, r, cfg.size_guard)
-                for t in all_state_transformers(x, ys, None, cfg.size_guard):
-                    for op in r.signature.ops:
-                        for args in itertools.product(
-                            range(len(xs.space)), repeat=op.arity
-                        ):
-                            combined = xs.func_algebra.apply(op.symbol, args)
-                            lhs = kleisli_lift(
-                                t, xs.functional(combined), cfg.size_guard
-                            )
-                            parts = tuple(
-                                ys.space.index(
-                                    kleisli_lift(
-                                        t, xs.functional(a), cfg.size_guard
-                                    ).table
-                                )
-                                for a in args
-                            )
-                            rhs = ys.functional(
-                                ys.func_algebra.apply(op.symbol, parts)
-                            )
-                            if lhs.table != rhs.table:
-                                lift_hom_ok = False
-                hom_t = all_state_transformers(x, ys, ys.hom_indices, cfg.size_guard)
-                hom_set = set(ys.hom_indices)
-                for t in hom_t:
-                    for i in xs.hom_indices:
-                        lifted = kleisli_lift(t, xs.functional(i), cfg.size_guard)
-                        if ys.space.index(lifted.table) not in hom_set:
-                            preserves_ok = False
-    checks.append(CheckOutcome("monad.lifting-preserves-ops", lift_hom_ok))
-    checks.append(CheckOutcome("monad.lifting-preserves-homs", preserves_ok))
+    def op_failures():
+        for at, xs, ys in spaces():
+            for t in all_state_transformers(xs.x, ys, None, cfg.size_guard):
+                for op in xs.algebra.signature.ops:
+                    for args in itertools.product(range(len(xs.space)), repeat=op.arity):
+                        lhs = lift(t, xs.func_algebra.apply(op.symbol, args), xs)
+                        parts = tuple(ys.space.index(lift(t, a, xs)) for a in args)
+                        if lhs != ys.functional(ys.func_algebra.apply(op.symbol, parts)).table:
+                            yield {**at, "t": _transformer(t), "op": op.symbol, "args": _keys(xs, args)}
+
+    def hom_failures():
+        for at, xs, ys in spaces():
+            homs = set(ys.hom_indices)
+            for t in all_state_transformers(xs.x, ys, ys.hom_indices, cfg.size_guard):
+                for i in xs.hom_indices:
+                    if ys.space.index(lift(t, i, xs)) not in homs:
+                        yield {**at, "t": _transformer(t), "phi": xs.functional(i).key()}
+
+    checks.append(first_failure("monad.lifting-preserves-ops", op_failures()))
+    checks.append(first_failure("monad.lifting-preserves-homs", hom_failures()))
 
     # state/predicate correspondence for the hom and relaxed families
+    pair = {k: posets[k] for k in ("C2", "A2")}
     for r in two_algs + [_two_ang_le()]:
-        corr_ok = True
-        for x in [posets["C2"], posets["A2"]]:
-            for y in [posets["C2"], posets["A2"]]:
-                xs = functional_space(x, r, cfg.size_guard)
-                ys = functional_space(y, r, cfg.size_guard)
-                hom_t = all_state_transformers(x, ys, ys.hom_indices, cfg.size_guard)
-                images = {p_transform(t, cfg.size_guard).table for t in hom_t}
-                hom_s = {
-                    s.table
-                    for s in all_predicate_transformers(ys, xs, cfg.size_guard)
-                    if is_homomorphism(s.as_map(), ys.pred_algebra, xs.pred_algebra)
-                }
-                if images != hom_s:
-                    corr_ok = False
-                rel_t = all_state_transformers(
-                    x, ys, ys.relaxed_indices, cfg.size_guard
-                )
-                rel_images = {p_transform(t, cfg.size_guard).table for t in rel_t}
-                rel_s = {
-                    s.table
-                    for s in all_predicate_transformers(ys, xs, cfg.size_guard)
-                    if is_relaxed_morphism(s.as_map(), ys.pred_algebra, xs.pred_algebra)
-                }
-                if rel_images != rel_s:
-                    corr_ok = False
-        checks.append(CheckOutcome(f"monad.transformer-correspondence.{r.name}", corr_ok))
+        failures = _correspondence_failures(r, pair, cfg)
+        checks.append(first_failure(f"monad.transformer-correspondence.{r.name}", failures))
 
     # containments of the generated family
-    for rname in ("2_ang", "2_dem"):
-        r = algs[rname]
-        ok = True
-        for pname, poset in posets.items():
-            space = functional_space(poset, r, cfg.size_guard)
-            if not set(space.free_indices) <= set(space.hom_indices):
-                ok = False
-        checks.append(CheckOutcome(f"monad.free-inside-hom.{rname}", ok))
-    r = _two_ang_le()
-    ok = True
-    for pname, poset in posets.items():
-        space = functional_space(poset, r, cfg.size_guard)
-        if not set(space.free_indices) <= set(space.relaxed_indices):
-            ok = False
-    checks.append(CheckOutcome("monad.free-inside-relaxed.2_ang_le", ok))
+    for name, r, family in (
+        ("free-inside-hom.2_ang", algs["2_ang"], "hom_indices"),
+        ("free-inside-hom.2_dem", algs["2_dem"], "hom_indices"),
+        ("free-inside-relaxed.2_ang_le", _two_ang_le(), "relaxed_indices"),
+    ):
+        free = _family_check(f"monad.{name}", posets, r, family, lambda s: s.free_indices, cfg)
+        checks.append(free)
 
     # the unit on an algebra is op-preserving into the hom functionals
     for aname in ("2_ang", "2_dem", "lattice2"):
         a = algs[aname]
         expo = enumerate_monotone(a.carrier, a.carrier, cfg.size_guard)
-        hom_idx = [
-            i for i, m in enumerate(expo.maps) if is_homomorphism(m, a, a)
-        ]
-        hom_poset = sub_poset(expo.poset, hom_idx)
-        lifted = lift_pointwise(a, hom_poset, cfg.size_guard)
+        hom_idx = [i for i, m in enumerate(expo.maps) if is_homomorphism(m, a, a)]
+        lifted = lift_pointwise(a, sub_poset(expo.poset, hom_idx), cfg.size_guard)
         table = tuple(
-            lifted.expo.index(
-                tuple(expo.maps[h].table[v] for h in hom_idx)
-            )
+            lifted.expo.index(tuple(expo.maps[h].table[v] for h in hom_idx))
             for v in range(a.carrier.size)
         )
-        delta_a = MonoMap(a.carrier, lifted.carrier, table)
-        outcome = is_homomorphism(delta_a, a, lifted)
-        checks.append(CheckOutcome(f"monad.unit-on-algebra-preserves-ops.{aname}", outcome.passed))
+        outcome = is_homomorphism(MonoMap(a.carrier, lifted.carrier, table), a, lifted)
+        outcome.name = f"monad.unit-on-algebra-preserves-ops.{aname}"
+        checks.append(outcome)
     return checks
+
+
+def _correspondence_failures(r, posets, cfg):
+    """p maps each family's state transformers onto the predicate
+    transformers of the matching morphism class; a failure names the
+    transformers on one side only."""
+    for (xn, x), (yn, y) in itertools.product(posets.items(), repeat=2):
+        xs = functional_space(x, r, cfg.size_guard)
+        ys = functional_space(y, r, cfg.size_guard)
+        for family, indices, is_morphism in (
+            ("hom", ys.hom_indices, is_homomorphism),
+            ("relaxed", ys.relaxed_indices, is_relaxed_morphism),
+        ):
+            ts = all_state_transformers(x, ys, indices, cfg.size_guard)
+            images = {p_transform(t, cfg.size_guard).table for t in ts}
+            morphisms = {
+                s.table
+                for s in all_predicate_transformers(ys, xs, cfg.size_guard)
+                if is_morphism(s.as_map(), ys.pred_algebra, xs.pred_algebra)
+            }
+            if images != morphisms:
+                yield {
+                    "x": xn,
+                    "y": yn,
+                    "family": family,
+                    "images_only": [_predicate_table(ys, xs, s) for s in sorted(images - morphisms)],
+                    "morphisms_only": [_predicate_table(ys, xs, s) for s in sorted(morphisms - images)],
+                }
 
 
 def check_transform_roundtrips(cfg: SuiteConfig):
     """P and Q are mutually inverse on every enumerable transformer."""
-    checks = []
-    algs = catalog.builtin_algebras()
-    r = algs["2_ang"]
+    r = catalog.builtin_algebras()["2_ang"]
     posets = {n: p for n, p in cfg.posets().items() if p.size <= 3}
-    ok = True
-    for xn, x in posets.items():
-        for yn, y in posets.items():
+
+    def failures():
+        for (xn, x), (yn, y) in itertools.product(posets.items(), repeat=2):
             xs = functional_space(x, r, cfg.size_guard)
             ys = functional_space(y, r, cfg.size_guard)
             for t in all_state_transformers(x, ys, None, cfg.size_guard):
                 if q_transform(p_transform(t, cfg.size_guard), cfg.size_guard) != t:
-                    ok = False
+                    yield {"x": xn, "y": yn, "t": _transformer(t)}
             for s in all_predicate_transformers(ys, xs, cfg.size_guard):
                 if p_transform(q_transform(s, cfg.size_guard), cfg.size_guard) != s:
-                    ok = False
-    checks.append(CheckOutcome("monad.pq-roundtrip", ok))
-    return checks
+                    yield {"x": xn, "y": yn, "s": _predicate_table(ys, xs, s.table)}
+
+    return [first_failure("monad.pq-roundtrip", failures())]
 
 
 def check_monad_laws_suite(cfg: SuiteConfig):
-    checks = []
     algs = catalog.builtin_algebras()
     posets = cfg.posets()
-    small = [posets[k] for k in ("one", "C2", "A2")]
-    for r in (algs["2_ang"], algs["2_dem"]):
-        ok = True
-        for x, y, z in itertools.product(small, repeat=3):
+    small = {k: posets[k] for k in ("one", "C2", "A2")}
+
+    def failures(r):
+        for (xn, x), (yn, y), (zn, z) in itertools.product(small.items(), repeat=3):
             ys = functional_space(y, r, cfg.size_guard)
             zs = functional_space(z, r, cfg.size_guard)
             ts = all_state_transformers(x, ys, None, cfg.size_guard)
             rs = all_state_transformers(y, zs, None, cfg.size_guard)
-            for t in ts:
-                for rr in rs:
-                    if not all(
-                        c.passed
-                        for c in check_monad_laws(x, y, z, r, t, rr, cfg.size_guard)
-                    ):
-                        ok = False
-        checks.append(CheckOutcome(f"monad.laws.{r.name}", ok))
-    return checks
+            for t, rr in itertools.product(ts, rs):
+                for law in check_monad_laws(x, y, z, r, t, rr, cfg.size_guard):
+                    if not law.passed:
+                        yield {
+                            "law": law.name, "x": xn, "y": yn, "z": zn,
+                            "t": _transformer(t), "r": _transformer(rr), "at": law.witness,
+                        }
+
+    return [first_failure(f"monad.laws.{name}", failures(algs[name])) for name in ("2_ang", "2_dem")]
 
 
 # ---------------------------------------------------------------------------
@@ -471,116 +468,102 @@ def check_monad_laws_suite(cfg: SuiteConfig):
 def check_powerdomains(cfg: SuiteConfig):
     checks = []
     algs = catalog.builtin_algebras()
-    posets = cfg.posets()
-    for name, poset in posets.items():
+    for name, poset in cfg.posets().items():
         for side, build in SET_POWERDOMAINS.values():
             result = build(poset, algs[side.algebra], cfg.size_guard)
             count_ok = len(result.functionals) == len(side.sets(poset, cfg.size_guard))
-            failed = [c.name for c in result.checks if not c.passed]
-            checks.append(
-                CheckOutcome(
-                    f"powerdomain.{side.kind}.{name}",
-                    not failed and count_ok,
-                    witness={"failed": failed} if failed else None,
-                )
-            )
-        points, sober_checks = sobrification(poset, algs["frame2"], cfg.size_guard)
-        checks.append(
-            CheckOutcome(
-                f"powerdomain.sober.{name}",
-                all(c.passed for c in sober_checks) and len(points) == poset.size,
-            )
-        )
+            count = CheckOutcome(f"{side.kind}:count-equals-sets", count_ok)
+            checks.append(_grouped(f"powerdomain.{side.kind}.{name}", result.checks + [count]))
+        # sober:count-equals-points pins the points to the poset's size
+        _, sober_checks = sobrification(poset, algs["frame2"], cfg.size_guard)
+        checks.append(_grouped(f"powerdomain.sober.{name}", sober_checks))
     return checks
 
 
 def check_valuations(cfg: SuiteConfig):
-    checks = []
-    posets = cfg.posets()
-    algs = catalog.builtin_algebras()
-    lin_ok = True
-    agree_ok = True
-    cone_ok = True
-    for name, poset in posets.items():
-        vals = catalog.catalog_valuations(poset)
-        chis = [chi(u) for u in all_up_sets(poset, cfg.size_guard)]
-        rng = cfg.rng(f"valuation.linearity.{name}")
-        preds = chis + [random_predicate(poset, rng) for _ in range(1000)]
-        if not valuations_linear(vals, chis, preds):
-            lin_ok = False
-        for f, g in zip(preds[::2], preds[1::2]):
-            for mu in vals[:4]:
-                if mu(pred_add(f, g)) != mu(f) + mu(g):
-                    lin_ok = False
+    # each poset's valuations and up-set characteristics, shared by the laws
+    inputs = [
+        (name, poset, catalog.catalog_valuations(poset), [chi(u) for u in all_up_sets(poset, cfg.size_guard)])
+        for name, poset in cfg.posets().items()
+    ]
 
-        # layer-cake order oracle vs pointwise sampling
-        rng2 = cfg.rng(f"valuation.order.{name}")
-        sample = [random_predicate(poset, rng2) for _ in range(1000)]
-        for mu in vals:
-            for nu in vals:
-                verdict = valuation_leq(mu, nu, cfg.size_guard)
-                if verdict:
-                    if any(not mu(f) <= nu(f) for f in sample):
-                        agree_ok = False
-                else:
-                    if not any(not mu(c) <= nu(c) for c in chis):
-                        agree_ok = False
+    def nonlinear():
+        for name, poset, vals, chis in inputs:
+            rng = cfg.rng(f"valuation.linearity.{name}")
+            preds = chis + [random_predicate(poset, rng) for _ in range(1000)]
+            for witness in linearity_failures(vals, chis, preds):
+                yield {"poset": name, **witness}
+            for f, g in zip(preds[::2], preds[1::2]):
+                for mu in vals[:4]:
+                    if mu(pred_add(f, g)) != mu(f) + mu(g):
+                        yield {"poset": name, "mu": mu.literal(), "f": f.literal(), "g": g.literal()}
 
-        # cone laws in canonical form
-        rng3 = cfg.rng(f"valuation.cone.{name}")
-        scalars = list(SCALAR_GRID) + [random_extnn(rng3) for _ in range(20)]
-        for mu in vals[:5]:
-            for nu in vals[:5]:
+    # layer-cake order oracle vs pointwise sampling
+    def disagreements():
+        for name, poset, vals, chis in inputs:
+            rng = cfg.rng(f"valuation.order.{name}")
+            sample = [random_predicate(poset, rng) for _ in range(1000)]
+            for mu, nu in itertools.product(vals, repeat=2):
+                at = {"poset": name, "mu": mu.literal(), "nu": nu.literal()}
+                if valuation_leq(mu, nu, cfg.size_guard):
+                    for f in sample:
+                        if not mu(f) <= nu(f):
+                            yield {**at, "oracle": "below", "f": f.literal()}
+                elif all(mu(c) <= nu(c) for c in chis):
+                    yield {**at, "oracle": "not below"}
+
+    # cone laws in canonical form
+    def cone_failures():
+        for name, poset, vals, chis in inputs:
+            rng = cfg.rng(f"valuation.cone.{name}")
+            scalars = list(SCALAR_GRID) + [random_extnn(rng) for _ in range(20)]
+            for mu, nu in itertools.product(vals[:5], repeat=2):
+                at = {"poset": name, "mu": mu.literal(), "nu": nu.literal()}
                 if cone_combine(ONE, mu, ZERO, nu).atoms != mu.atoms:
-                    cone_ok = False
-                for r in scalars[:10]:
-                    for s in scalars[:10]:
-                        left = mu.scale(r).scale(s)
-                        right = mu.scale(r * s)
-                        if left.atoms != right.atoms:
-                            cone_ok = False
-                        if cone_combine(r, mu, r, nu).atoms != mu.add(nu).scale(r).atoms:
-                            cone_ok = False
-                        if cone_combine(r, mu, s, mu).atoms != mu.scale(r + s).atoms:
-                            cone_ok = False
+                    yield {**at, "law": "1 mu + 0 nu = mu"}
+                for r, s in itertools.product(scalars[:10], repeat=2):
+                    rs = {**at, "r": str(r), "s": str(s)}
+                    if mu.scale(r).scale(s).atoms != mu.scale(r * s).atoms:
+                        yield {**rs, "law": "s (r mu) = (r s) mu"}
+                    if cone_combine(r, mu, r, nu).atoms != mu.add(nu).scale(r).atoms:
+                        yield {**rs, "law": "r mu + r nu = r (mu + nu)"}
+                    if cone_combine(r, mu, s, mu).atoms != mu.scale(r + s).atoms:
+                        yield {**rs, "law": "r mu + s mu = (r + s) mu"}
                 if mu.scale(ZERO).atoms != ():
-                    cone_ok = False
-    checks.append(CheckOutcome("valuation.linear", lin_ok, SAMPLED))
-    checks.append(CheckOutcome("valuation.order-oracle-agrees", agree_ok, SAMPLED))
-    checks.append(CheckOutcome("valuation.cone-laws", cone_ok, SAMPLED))
+                    yield {**at, "law": "0 mu = 0"}
 
+    rplus = catalog.builtin_algebras()["rplus"]
     module = check_module_axioms(
-        scalar_action(algs["rplus"]),
-        algs["rplus"],
-        cfg.rng("valuation.module"),
-        min(cfg.trials, 2000),
+        scalar_action(rplus), rplus, cfg.rng("valuation.module"), min(cfg.trials, 2000)
     )
-    checks.append(
-        CheckOutcome(
-            "valuation.module-axioms",
-            module.passed,
-            module.mode,
-            None if module.passed else module.as_record(),
-        )
-    )
-    return checks
+    module_witness = None if module.passed else module.as_record()
+    return [
+        first_failure("valuation.linear", nonlinear(), SAMPLED),
+        first_failure("valuation.order-oracle-agrees", disagreements(), SAMPLED),
+        first_failure("valuation.cone-laws", cone_failures(), SAMPLED),
+        CheckOutcome("valuation.module-axioms", module.passed, module.mode, module_witness),
+    ]
 
 
 def check_mixed(cfg: SuiteConfig):
     """Each catalog envelope passes its side's laws, on its own sampled stream."""
-    checks = []
     posets = cfg.posets()
     trials = max(cfg.trials // 10, 100)
-    for envelope in ENVELOPES:
+
+    def failures(envelope):
         side = envelope.side
-        ok = True
         for name, poset in posets.items():
             for i, phi in enumerate(catalog.catalog_envelopes(poset, envelope, cap=6)):
                 seed = derive_seed(cfg.seed, f"mixed.{side.name}.{name}.{i}")
-                if not check_linear_side(phi, side, trials, seed, cfg.size_guard).passed:
-                    ok = False
-        checks.append(CheckOutcome(f"mixed.{side.keyword}s-{side.name}", ok, SAMPLED))
-    return checks
+                outcome = check_linear_side(phi, side, trials, seed, cfg.size_guard)
+                if not outcome.passed:
+                    failed = [c.name for c in outcome.witnesses()]
+                    yield {"poset": name, "envelope": phi.literal(), "failed": failed}
+
+    return [
+        first_failure(f"mixed.{e.side.keyword}s-{e.side.name}", failures(e), SAMPLED)
+        for e in ENVELOPES
+    ]
 
 
 SUITE = (

@@ -18,6 +18,7 @@ from powdom.algebra import (
     endo_algebra,
     endomorphisms,
     eval_term,
+    first_failure,
     generated_subalgebra,
     is_entropic,
     is_homomorphism,
@@ -40,7 +41,7 @@ from powdom.funcspace import MonoMap, enumerate_monotone, identity_map
 from powdom.monad import functional_space
 from powdom.poset import poset_from_cover
 from powdom.powerdomain import PredAlgebra, SubFn, dirac
-from powdom.sampling import task_rng
+from powdom.sampling import EXHAUSTIVE, SAMPLED, random_extnn, task_rng
 
 POSETS = catalog.builtin_posets()
 ALGS = catalog.builtin_algebras()
@@ -477,3 +478,45 @@ class TestMonotoneDiagnostics:
         with pytest.raises(PowdomError) as err:
             FinAlgebra("bad", POSETS["vee"], sig, {"g": table})
         assert str(err.value) == "operation g is not monotone at (0, 0) -> (0, 2)"
+
+
+def test_first_failure_stops_at_the_first_witness():
+    pulled = []
+
+    def witnesses():
+        for k in range(3):
+            pulled.append(k)
+            yield {"k": k}
+
+    outcome = first_failure("law", witnesses(), SAMPLED)
+    assert (outcome.passed, outcome.mode, outcome.witness) == (False, SAMPLED, {"k": 0})
+    assert pulled == [0]
+    rest = iter([{"a": 1}, {"b": 2}])
+    assert first_failure("law", rest).witness == {"a": 1}
+    assert next(rest) == {"b": 2}
+    empty = first_failure("law", iter(()))
+    assert (empty.passed, empty.mode, empty.witness) == (True, EXHAUSTIVE, None)
+
+
+def test_sampled_failure_draws_up_to_the_failing_sample_only():
+    rplus = catalog.builtin_algebras()["rplus"]
+
+    def phi(x):
+        # additive on every grid sum, whose denominators divide 6, but not
+        # on sampled elevenths
+        return x + x if str(x).endswith("/11") else x
+
+    trials = 200
+    assert is_homomorphism(phi, rplus, rplus).passed  # the grid phase alone passes
+    reference = task_rng(7, "stream")
+    for k in range(trials):
+        a, b = random_extnn(reference), random_extnn(reference)
+        if phi(a + b) != phi(a) + phi(b):
+            break
+    assert k < trials - 1  # the walk stops well before the stream ends
+    rng = task_rng(7, "stream")
+    outcome = is_homomorphism(phi, rplus, rplus, rng, trials)
+    assert not outcome.passed
+    assert outcome.witness["op"] == "add"
+    assert outcome.witness["args"] == [str(a), str(b)]
+    assert rng.random() == reference.random()

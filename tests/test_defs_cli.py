@@ -6,12 +6,13 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from powdom import catalog
 from powdom.algebra import RatAlgebra
 from powdom.cli import build_parser, main
 from powdom.defs import Workspace, load_workspace, transformer_literal
-from powdom.errors import ParseError, UnknownName
+from powdom.errors import ParseError, PowdomError, UnknownName
 from powdom.extnum import ExtNN
 from powdom.monad import p_transform, q_transform
 
@@ -482,3 +483,67 @@ def test_readme_definition_example_loads_and_its_commands_succeed(tmp_path, monk
         argv = shlex.split(command)[1:]
         argv[argv.index("my.defs")] = str(defs)
         assert main(argv) == 0, command
+
+
+# pieces a mutant splices into the README definition block: punctuation,
+# keywords, names from the block, malformed numbers and stray characters
+_PIECES = st.one_of(
+    st.sampled_from(
+        [
+            "{", "}", "(", ")", ";", ",", "->", "|->", "@", ":", "/", "#", "\n", " ",
+            "0", "1", "-1", "1/0", "0/0", "inf", "99999999999", "1e5", "[0,1]", "[]",
+            "end", "poset", "elems", "le", "algebra", "op", "arity", "tag", "table",
+            "builtin", "const", "map", "valuation", "subfn", "supfn", "predicate",
+            "transformer", "ptransformer", "at", "val", "sup", "inf", "pred", "on",
+            "with", "extnn", "EQ", "LE", "P3", "C2", "A2", "lo", "hi", "mu", "t",
+        ]
+    ),
+    st.text(max_size=4),
+)
+
+
+@st.composite
+def _readme_mutants(draw):
+    text = _readme_block("## Definition files", "text")
+    for _ in range(draw(st.integers(1, 6))):
+        i = draw(st.integers(0, len(text)))
+        j = draw(st.integers(i, min(len(text), i + 30)))
+        kind = draw(st.sampled_from(["delete", "insert", "replace", "duplicate"]))
+        if kind == "delete":
+            middle = ""
+        elif kind == "duplicate":
+            middle = text[i:j] * 2
+        else:
+            middle = draw(_PIECES)
+        text = text[:i] + middle + text[i if kind == "insert" else j:]
+    return text
+
+
+_MUTANT_COMMANDS = [
+    ["export-dot", "P3"],
+    ["check", "--entropic", "twojoin", "--trials", "20"],
+    ["check", "--relaxed", "rmix", "--trials", "20"],
+    ["valuation", "phi", "--against", "nu", "--trials", "20"],
+    ["transform", "p2q", "t"],
+    ["powerdomain", "hoare", "P3"],
+]
+
+
+@settings(
+    max_examples=150,
+    derandomize=True,
+    deadline=None,
+    database=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
+)
+@given(text=_readme_mutants(), argv=st.sampled_from(_MUTANT_COMMANDS))
+def test_mutated_definitions_fail_only_with_powdom_errors(text, argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.delenv("POWDOM_SEED", raising=False)
+    try:
+        Workspace().load_text("mutant.defs", text)
+    except PowdomError:
+        pass
+    path = tmp_path / "mutant.defs"
+    path.write_text(text, encoding="utf-8")
+    assert main(argv + ["-f", str(path)]) in (0, 1, 2, 3)
+    capsys.readouterr()

@@ -453,3 +453,40 @@ class TestTransformerValidation:
         dem = functional_space(POSETS["C2"], ALGS["2_dem"])
         with pytest.raises(TypeMismatch):
             PredicateTransformer(self.c2, dem, tuple(range(len(self.c2.predicates))))
+
+
+def test_delta_transformer_is_one_object_per_space():
+    x, r = POSETS["A2"], ALGS["2_dem"]
+    assert delta_transformer(x, r) is delta_transformer(x, r)
+    assert delta_transformer(x, r) is functional_space(x, r).unit
+
+
+def test_monad_laws_suite_builds_each_unit_p_once(monkeypatch):
+    from powdom import monad, verify
+
+    units = []  # kept alive so that their ids stay theirs
+    unit_ids = set()
+    real_delta = monad.delta_transformer
+
+    def recording(x, algebra, size_guard):
+        unit = real_delta(x, algebra, size_guard)
+        units.append(unit)
+        unit_ids.add(id(unit))
+        return unit
+
+    built = {}
+    real_p = StateTransformer.predicate_transformer
+
+    def spy(self, size_guard):
+        p = real_p(self, size_guard)
+        if id(self) in unit_ids:
+            built.setdefault((self.source, self.space.algebra.name), {})[id(p)] = p
+        return p
+
+    monkeypatch.setattr(monad, "delta_transformer", recording)
+    monkeypatch.setattr(StateTransformer, "predicate_transformer", spy)
+    cfg = verify.SuiteConfig(seed=42, trials=50, catalog_max=2)
+    assert all(c.passed for c in verify.check_monad_laws_suite(cfg))
+    # one, C2 and A2 under 2_ang and 2_dem, each unit's p(t) one object
+    assert len(built) == 6
+    assert all(len(ps) == 1 for ps in built.values())

@@ -1,9 +1,16 @@
 import json
+from fractions import Fraction
 
-from powdom import catalog
+from powdom import catalog, monad
 from powdom.algebra import CheckOutcome
+from powdom.extnum import ExtNN, ONE, ZERO
+from powdom.funcspace import enumerate_monotone
+from powdom.monad import StateTransformer, all_state_transformers, check_monad_laws, functional_space
+from powdom.powerdomain import SUBLINEAR, Envelope, SubFn, check_linear_side
 from powdom.report import Report
 from powdom.verify import SUITE, SuiteConfig, run_suite
+
+CFG = SuiteConfig(seed=42, trials=50, catalog_max=2)
 
 
 def test_reduced_catalog_all_pass():
@@ -41,6 +48,12 @@ def test_corrupted_builtin_is_caught(monkeypatch):
     failed = [c for c in checks if not c.passed]
     assert failed
     assert any(c.witness for c in failed)
+    # only the Hoare side reads the corrupted join, and each of its failing
+    # records names the Hoare sub-checks that broke
+    for c in failed:
+        assert c.name.startswith("powerdomain.hoare.")
+        assert c.witness["failed"]
+        assert all(name.startswith("hoare:") for name in c.witness["failed"])
 
 
 def test_report_records_are_ordered_and_named():
@@ -96,3 +109,171 @@ def test_mixed_functionals_draw_distinct_streams(monkeypatch):
     )
     assert len(seeds) == expected
     assert len(set(seeds)) == len(seeds)
+
+
+# ---------------------------------------------------------------------------
+# each law family names the one instance an injected fault breaks, and that
+# instance fails again when replayed on its own
+
+
+def record(checks, name):
+    (found,) = [c for c in checks if c.name == name]
+    return found
+
+
+def test_extnum_witness_names_the_faulty_sum(monkeypatch):
+    import powdom.verify as verify_mod
+
+    half, two = ExtNN(Fraction(1, 2)), ExtNN(2)
+    real_add = ExtNN.__add__
+
+    def faulty(a, b):
+        total = real_add(a, b)
+        return real_add(total, ONE) if (a, b) == (half, two) else total
+
+    monkeypatch.setattr(ExtNN, "__add__", faulty)
+    outcome = record(verify_mod.check_extnum(CFG), "extnum.add-commutative")
+    assert not outcome.passed
+    # the grid runs 0, 1/3, 1/2, ...: (1/2, 2) is the first broken pair, at c = 0
+    assert outcome.witness == {"a": "1/2", "b": "2", "c": "0"}
+    assert not verify_mod.EXTNUM_LAWS["add-commutative"](half, two, ZERO)
+    assert record(verify_mod.check_extnum(CFG), "extnum.add-unit").passed
+
+
+def test_precompose_witness_names_the_faulty_composite(monkeypatch):
+    import powdom.verify as verify_mod
+
+    c2 = catalog.builtin_posets()["C2"]
+    maps = enumerate_monotone(c2, c2).maps
+    u = next(m for m in maps if m.table == (0, 1))
+    v = next(m for m in maps if m.table == (1, 1))
+    real_compose = verify_mod.compose
+
+    def faulty(a, b):
+        # the composite of the identity with the constant top comes out as the identity
+        return a if (a, b) == (u, v) else real_compose(a, b)
+
+    monkeypatch.setattr(verify_mod, "compose", faulty)
+    outcome = record(verify_mod.check_funcspace(CFG), "funcspace.precompose-functorial")
+    assert not outcome.passed
+    gs = enumerate_monotone(c2, catalog.TWO).maps
+    broken = [
+        g for g in gs
+        if verify_mod.precompose(faulty(u, v), g).table
+        != verify_mod.precompose(u, verify_mod.precompose(v, g)).table
+    ]
+    assert broken
+    assert outcome.witness == {
+        "x": "C2", "y": "C2", "z": "C2",
+        "u": u.entries(), "v": v.entries(), "g": broken[0].entries(),
+    }
+
+
+def test_monad_laws_witness_names_the_law_and_the_pair(monkeypatch):
+    import powdom.verify as verify_mod
+
+    one = catalog.builtin_posets()["one"]
+    real_compose = monad.compose_transformers
+    target = ((1,), (2,))  # the tables of t and r, both over the one-point poset
+
+    def faulty(t, r, size_guard):
+        rt = real_compose(t, r, size_guard)
+        if (t.table, r.table) != target or {t.source, t.space.x, r.space.x} != {one}:
+            return rt
+        wrong = ((rt.table[0] + 1) % len(rt.space.space),)
+        return StateTransformer(rt.source, rt.space, wrong)
+
+    monkeypatch.setattr(monad, "compose_transformers", faulty)
+    checks = verify_mod.check_monad_laws_suite(CFG)
+    for alg_name in ("2_ang", "2_dem"):
+        outcome = record(checks, f"monad.laws.{alg_name}")
+        assert not outcome.passed
+        w = outcome.witness
+        algebra = catalog.builtin_algebras()[alg_name]
+        space = functional_space(one, algebra)
+        t, r = (
+            next(s for s in all_state_transformers(one, space) if s.table == table)
+            for table in target
+        )
+        assert (w["law"], w["x"], w["y"], w["z"]) == ("monad:lift-is-associative", "one", "one", "one")
+        assert w["t"] == {"pt": space.functional(1).key()}
+        assert w["r"] == {"pt": space.functional(2).key()}
+        replay = [c for c in check_monad_laws(one, one, one, algebra, t, r) if not c.passed]
+        assert [(c.name, c.witness) for c in replay] == [(w["law"], w["at"])]
+
+
+def test_transformer_correspondence_witness_names_the_unmatched_transformer(monkeypatch):
+    import powdom.verify as verify_mod
+
+    algebra = catalog.builtin_algebras()["2_ang"]
+    c2_space = functional_space(catalog.builtin_posets()["C2"], algebra)
+    identity = tuple(range(len(c2_space.predicates)))
+    real_relaxed = verify_mod.is_relaxed_morphism
+
+    def faulty(phi, b, r, *rest):
+        # the identity on the predicates over C2 is declared not relaxed
+        if b is r is c2_space.pred_algebra and phi.table == identity:
+            return CheckOutcome("relaxed-morphism", False)
+        return real_relaxed(phi, b, r, *rest)
+
+    monkeypatch.setattr(verify_mod, "is_relaxed_morphism", faulty)
+    checks = verify_mod.check_monad(CFG)
+    outcome = record(checks, "monad.transformer-correspondence.2_ang")
+    preds = [m.key() for m in c2_space.predicates.maps]
+    assert outcome.witness == {
+        "x": "C2",
+        "y": "C2",
+        "family": "relaxed",
+        "images_only": [dict(zip(preds, preds))],
+        "morphisms_only": [],
+    }
+    assert record(checks, "monad.transformer-correspondence.2_dem").passed
+    # replay: the unit's p(t) is an image of the relaxed family, yet rejected
+    unit = monad.delta_transformer(c2_space.x, algebra)
+    assert unit.predicate_transformer().table == identity
+    s = unit.predicate_transformer()
+    assert not faulty(s.as_map(), c2_space.pred_algebra, c2_space.pred_algebra).passed
+
+
+def test_cone_witness_names_the_faulty_combination(monkeypatch):
+    import powdom.verify as verify_mod
+
+    c2 = catalog.builtin_posets()["C2"]
+    vals = catalog.catalog_valuations(c2)
+    mu, nu = vals[1], vals[2]
+    real_combine = verify_mod.cone_combine
+
+    def faulty(a, m, b, n):
+        if (a, m, b, n) == (ONE, mu, ZERO, nu):
+            return m.add(n)
+        return real_combine(a, m, b, n)
+
+    monkeypatch.setattr(verify_mod, "cone_combine", faulty)
+    outcome = record(verify_mod.check_valuations(CFG), "valuation.cone-laws")
+    assert outcome.witness == {
+        "poset": "C2", "mu": mu.literal(), "nu": nu.literal(), "law": "1 mu + 0 nu = mu"
+    }
+    assert faulty(ONE, mu, ZERO, nu).atoms != mu.atoms
+
+
+def test_mixed_witness_names_the_faulty_envelope(monkeypatch):
+    import powdom.verify as verify_mod
+
+    c2 = catalog.builtin_posets()["C2"]
+    target = catalog.catalog_envelopes(c2, SubFn, cap=6)[2]
+    real_call = Envelope.__call__
+
+    def faulty(phi, f):
+        value = real_call(phi, f)
+        return value + ONE if phi == target else value
+
+    monkeypatch.setattr(Envelope, "__call__", faulty)
+    checks = verify_mod.check_mixed(CFG)
+    outcome = record(checks, "mixed.subfns-sublinear")
+    assert outcome.witness["poset"] == "C2"
+    assert outcome.witness["envelope"] == target.literal()
+    seed = verify_mod.derive_seed(CFG.seed, "mixed.sublinear.C2.2")
+    replay = check_linear_side(target, SUBLINEAR, max(CFG.trials // 10, 100), seed)
+    assert outcome.witness["failed"] == [c.name for c in replay.witnesses()]
+    assert "zero-at-zero" in outcome.witness["failed"]
+    assert record(checks, "mixed.supfns-superlinear").passed
