@@ -7,7 +7,10 @@ state transformer t : X -> [[Y -> R] -> R] has the predicate transformer
 ``p(t)(g) = x |-> t(x)(g)``, and it lifts to functionals by precomposition
 with it: ``lift(t)(phi) = phi . p(t)``, i.e. ``g |-> phi(x |-> t(x)(g))``.
 Each transformer computes p(t) once and keeps it, so a lift is one table
-gather.
+gather.  It also keeps its lift table, the index of lift(t)(phi) for every
+functional phi over its source, built on first use through
+``kleisli_lift``; Kleisli composition and the monad laws read their lifts
+off the kept tables instead of lifting again.
 
 Three families of functionals sit inside the full double exponential: the
 op-preserving ones (hom), the tag-relaxed ones, and the family generated
@@ -142,6 +145,7 @@ class StateTransformer:
         self.space = space
         self.table = MonoMap(source, space.space.poset, table).table
         self._p = None  # (size_guard, p(t)) once p(t) has been asked for
+        self._lifts = None  # (size_guard, lift table) once it has been asked for
 
     def __call__(self, i: int) -> MonoMap:
         return self.space.functional(self.table[i])
@@ -161,6 +165,17 @@ class StateTransformer:
                     raise NonMonotoneResult("transformed predicate is not monotone") from None
             self._p = (size_guard, PredicateTransformer(self.space, x_space, tuple(table)))
         return self._p[1]
+
+    def lift_table(self, size_guard: int = DEFAULT_SIZE_GUARD) -> tuple:
+        """Index k of the functionals over the source to the index of
+        ``kleisli_lift(t, maps[k])`` among those over the target; computed on
+        first use and kept, keyed by the size guard as p(t) is."""
+        if self._lifts is None or self._lifts[0] != size_guard:
+            maps = self.predicate_transformer(size_guard).x_space.space.maps
+            index = self.space.space.index
+            table = tuple(index(kleisli_lift(self, phi, size_guard).table) for phi in maps)
+            self._lifts = (size_guard, table)
+        return self._lifts[1]
 
     def __eq__(self, other):
         return (
@@ -279,41 +294,42 @@ def all_predicate_transformers(y_space: FunctionalSpace, x_space: FunctionalSpac
 
 
 def compose_transformers(t: StateTransformer, r: StateTransformer, size_guard: int = DEFAULT_SIZE_GUARD) -> StateTransformer:
-    """The Kleisli composite x |-> lift(r)(t(x))."""
-    table = [
-        r.space.space.index(kleisli_lift(r, t(i), size_guard).table)
-        for i in range(t.source.size)
-    ]
-    return StateTransformer(t.source, r.space, tuple(table))
+    """The Kleisli composite x |-> lift(r)(t(x)), read off r's kept lift table."""
+    if t.space.predicates.poset != r.predicate_transformer(size_guard).x_space.predicates.poset:
+        raise TypeMismatch("the first transformer's target is not the second's source")
+    lifts = r.lift_table(size_guard)
+    return StateTransformer(t.source, r.space, tuple(lifts[k] for k in t.table))
 
 
 def check_monad_laws(x, y, z, algebra, t: StateTransformer, r: StateTransformer, size_guard: int = DEFAULT_SIZE_GUARD):
-    """The two unit laws and associativity for one (t, r) pair, exhaustively."""
+    """The two unit laws and associativity for one (t, r) pair, exhaustively,
+    as index comparisons on the kept lift tables."""
     if t.source != x or t.space.x != y or r.source != y or r.space.x != z:
         raise TypeMismatch("transformer endpoints do not match the stated posets")
-    x_space = functional_space(x, algebra, size_guard)
+    maps = functional_space(x, algebra, size_guard).space.maps
     unit = delta_transformer(x, algebra, size_guard)
     rt = compose_transformers(t, r, size_guard)
-
-    def lift(s, phi):
-        return kleisli_lift(s, phi, size_guard)
-
-    maps = x_space.space.maps
+    t_lifts = t.lift_table(size_guard)
+    r_lifts = r.lift_table(size_guard)
     return [
         first_failure(
             "monad:lift-of-unit-is-identity",
-            ({"phi": phi.key()} for phi in maps if lift(unit, phi).table != phi.table),
+            ({"phi": maps[k].key()} for k, j in enumerate(unit.lift_table(size_guard)) if j != k),
         ),
         first_failure(
             "monad:lift-after-unit-is-plain",
             (
                 {"point": label}
-                for i, label in enumerate(x.labels)
-                if lift(t, x_space.delta(i)).table != t(i).table
+                for label, u, ti in zip(x.labels, unit.table, t.table)
+                if t_lifts[u] != ti
             ),
         ),
         first_failure(
             "monad:lift-is-associative",
-            ({"phi": phi.key()} for phi in maps if lift(rt, phi).table != lift(r, lift(t, phi)).table),
+            (
+                {"phi": maps[k].key()}
+                for k, j in enumerate(rt.lift_table(size_guard))
+                if j != r_lifts[t_lifts[k]]
+            ),
         ),
     ]

@@ -279,16 +279,26 @@ def valuation_leq(mu: SimpleValuation, nu: SimpleValuation, size_guard: int = DE
 
 
 def linearity_failures(vals, pairs_over, scaled_over):
-    """Witnesses, in check order, that a valuation is not additive on a pair
-    drawn from ``pairs_over`` or not homogeneous over the scalar grid on a
-    predicate in ``scaled_over``."""
-    for mu in vals:
-        for f, g in itertools.product(pairs_over, repeat=2):
-            if mu(pred_add(f, g)) != mu(f) + mu(g):
+    """Witnesses, in check order, that a valuation in the sequence ``vals``
+    is not additive on a pair drawn from ``pairs_over`` or not homogeneous
+    over the scalar grid on a predicate in ``scaled_over``.
+
+    The walk is predicate-major, so each derived predicate is built once and
+    memory stays constant: for each pair (f, g) its sum, then every
+    valuation; then for each f its scaled predicates r f over the grid, then
+    every valuation on all of them.
+    """
+    for f, g in itertools.product(pairs_over, repeat=2):
+        h = pred_add(f, g)
+        for mu in vals:
+            if mu(h) != mu(f) + mu(g):
                 yield {"mu": mu.literal(), "f": f.literal(), "g": g.literal()}
-        for f in scaled_over:
-            for r in SCALAR_GRID:
-                if mu(pred_scale(r, f)) != r * mu(f):
+    for f in scaled_over:
+        scaled = [(r, pred_scale(r, f)) for r in SCALAR_GRID]
+        for mu in vals:
+            at_f = mu(f)
+            for r, h in scaled:
+                if mu(h) != r * at_f:
                     yield {"mu": mu.literal(), "r": str(r), "f": f.literal()}
 
 

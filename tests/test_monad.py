@@ -462,31 +462,132 @@ def test_delta_transformer_is_one_object_per_space():
 
 
 def test_monad_laws_suite_builds_each_unit_p_once(monkeypatch):
+    # the units and their kept p(t) and lift tables live on the cached
+    # spaces, so an earlier test may have built them already; the spies
+    # record what the run asks for, and the units' kept state is read after
     from powdom import monad, verify
 
-    units = []  # kept alive so that their ids stay theirs
-    unit_ids = set()
+    units = {}  # kept alive so that their ids stay theirs
     real_delta = monad.delta_transformer
 
     def recording(x, algebra, size_guard):
         unit = real_delta(x, algebra, size_guard)
-        units.append(unit)
-        unit_ids.add(id(unit))
+        units[id(unit)] = unit
         return unit
 
-    built = {}
+    seen_p = {}
+    seen_lifts = {}
     real_p = StateTransformer.predicate_transformer
+    real_lifts = StateTransformer.lift_table
 
-    def spy(self, size_guard):
+    def spy_p(self, size_guard):
         p = real_p(self, size_guard)
-        if id(self) in unit_ids:
-            built.setdefault((self.source, self.space.algebra.name), {})[id(p)] = p
+        if id(self) in units:
+            seen_p.setdefault(id(self), {})[id(p)] = p
         return p
 
+    def spy_lifts(self, size_guard):
+        table = real_lifts(self, size_guard)
+        if id(self) in units:
+            seen_lifts.setdefault(id(self), {})[id(table)] = table
+        return table
+
     monkeypatch.setattr(monad, "delta_transformer", recording)
-    monkeypatch.setattr(StateTransformer, "predicate_transformer", spy)
+    monkeypatch.setattr(StateTransformer, "predicate_transformer", spy_p)
+    monkeypatch.setattr(StateTransformer, "lift_table", spy_lifts)
     cfg = verify.SuiteConfig(seed=42, trials=50, catalog_max=2)
     assert all(c.passed for c in verify.check_monad_laws_suite(cfg))
-    # one, C2 and A2 under 2_ang and 2_dem, each unit's p(t) one object
-    assert len(built) == 6
-    assert all(len(ps) == 1 for ps in built.values())
+    # one, C2 and A2 under 2_ang and 2_dem, each unit's p(t) one object and
+    # its lift table one kept table
+    assert len({(u.source, u.space.algebra.name) for u in units.values()}) == len(units) == 6
+    for key, unit in units.items():
+        p = real_p(unit, cfg.size_guard)
+        table = real_lifts(unit, cfg.size_guard)
+        assert set(seen_p.get(key, {})) <= {id(p)}
+        assert set(seen_lifts[key]) == {id(table)}
+        assert len(table) == len(unit.space.space)
+
+
+class TestKeptLiftTable:
+    """Each transformer keeps its lift table; composition and the monad laws
+    read it, against lifts computed from the defining formula."""
+
+    @pytest.mark.parametrize("r", LIFT_ALGEBRAS, ids=lambda r: r.name)
+    @pytest.mark.parametrize("xn", SMALL)
+    @pytest.mark.parametrize("yn", SMALL)
+    def test_table_is_the_index_of_each_lift(self, r, xn, yn):
+        xs = functional_space(POSETS[xn], r)
+        ys = functional_space(POSETS[yn], r)
+        for t in all_state_transformers(POSETS[xn], ys):
+            table = t.lift_table()
+            assert len(table) == len(xs.space)
+            for k, phi in enumerate(xs.space.maps):
+                assert table[k] == ys.space.index(kleisli_lift(t, phi).table)
+                assert table[k] == ys.space.index(pointwise_lift(t, phi))
+            assert t.lift_table() is table
+
+    @pytest.mark.parametrize("r", LIFT_ALGEBRAS, ids=lambda r: r.name)
+    @pytest.mark.parametrize("xn", SMALL)
+    @pytest.mark.parametrize("yn", SMALL)
+    def test_composition_is_the_pointwise_lift(self, r, xn, yn):
+        x, y = POSETS[xn], POSETS[yn]
+        ys = functional_space(y, r)
+        ts = all_state_transformers(x, ys)
+        for zn in SMALL:
+            zs = functional_space(POSETS[zn], r)
+            for rr in all_state_transformers(y, zs):
+                for t in ts:
+                    rt = compose_transformers(t, rr)
+                    assert rt.source == x and rt.space is zs
+                    assert rt.table == tuple(
+                        zs.space.index(kleisli_lift(rr, t(i)).table) for i in range(x.size)
+                    )
+
+    def test_size_guard_still_applies_after_the_table_is_kept(self):
+        r = ALGS["2_ang"]
+        # [[A2 -> 2] -> 2] has 2^4 tables on the a priori bound, past 8
+        x, y = POSETS["A2"], POSETS["A2"]
+        ys = functional_space(y, r)
+        t = all_state_transformers(x, ys)[3]
+        rr = all_state_transformers(y, functional_space(POSETS["C2"], r))[2]
+        table = t.lift_table()
+        rr.lift_table()
+        with pytest.raises(SizeGuardExceeded):
+            t.lift_table(size_guard=8)
+        with pytest.raises(SizeGuardExceeded):
+            compose_transformers(t, rr, size_guard=8)
+        assert t.lift_table() is table
+
+    def test_mismatched_endpoints(self):
+        r = ALGS["2_ang"]
+        c2s = functional_space(POSETS["C2"], r)
+        a2s = functional_space(POSETS["A2"], r)
+        into_c2 = all_state_transformers(POSETS["A2"], c2s)[0]
+        from_a2 = all_state_transformers(POSETS["A2"], a2s)[0]
+        from_c2 = all_state_transformers(POSETS["C2"], a2s)[0]
+        # kept tables do not let a mismatched pair through
+        from_a2.lift_table()
+        with pytest.raises(TypeMismatch):
+            compose_transformers(into_c2, from_a2)
+        compose_transformers(into_c2, from_c2)
+        with pytest.raises(TypeMismatch):
+            compose_transformers(from_c2, from_c2)
+
+    def test_monad_laws_suite_lifts_each_pair_once(self, monkeypatch):
+        from powdom import monad, verify
+
+        lifted = {}
+        kept = []  # discarded composites would hand their ids on
+        real_lift = monad.kleisli_lift
+
+        def spy(t, phi, size_guard=monad.DEFAULT_SIZE_GUARD):
+            kept.append((t, phi))
+            key = (id(t), id(phi))
+            lifted[key] = lifted.get(key, 0) + 1
+            return real_lift(t, phi, size_guard)
+
+        monkeypatch.setattr(monad, "kleisli_lift", spy)
+        cfg = verify.SuiteConfig(seed=42, trials=50, catalog_max=2)
+        assert all(c.passed for c in verify.check_monad_laws_suite(cfg))
+        assert lifted
+        assert max(lifted.values()) == 1

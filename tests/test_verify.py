@@ -277,3 +277,130 @@ def test_mixed_witness_names_the_faulty_envelope(monkeypatch):
     assert outcome.witness["failed"] == [c.name for c in replay.witnesses()]
     assert "zero-at-zero" in outcome.witness["failed"]
     assert record(checks, "mixed.supfns-superlinear").passed
+
+
+def test_lifting_witnesses_name_the_transformer(monkeypatch):
+    import powdom.verify as verify_mod
+
+    algebra = catalog.builtin_algebras()["2_ang"]
+    c2 = catalog.builtin_posets()["C2"]
+    real_lifts = StateTransformer.lift_table
+
+    def faulty(t, size_guard):
+        table = real_lifts(t, size_guard)
+        if t.source == c2 and t.space is functional_space(c2, algebra):
+            # every functional lifts to the constant top, which breaks zero
+            return (len(t.space.space) - 1,) * len(table)
+        return table
+
+    monkeypatch.setattr(StateTransformer, "lift_table", faulty)
+    checks = verify_mod.check_monad(CFG)
+    ops = record(checks, "monad.lifting-preserves-ops").witness
+    assert (ops["algebra"], ops["x"], ops["y"], ops["op"], ops["args"]) == ("2_ang", "C2", "C2", "zero", [])
+    assert set(ops) == {"algebra", "x", "y", "t", "op", "args"}
+    homs = record(checks, "monad.lifting-preserves-homs").witness
+    assert (homs["algebra"], homs["x"], homs["y"]) == ("2_ang", "C2", "C2")
+    assert set(homs) == {"algebra", "x", "y", "t", "phi"}
+
+
+# ---------------------------------------------------------------------------
+# each interchange pair is compared once, and each scaled predicate is built
+# once per check
+
+
+SYMMETRY_ALGEBRAS = ("2_ang", "2_dem", "frame2", "rplus_semiring")
+
+
+def test_interchange_symmetry_calls_each_unordered_pair_twice(monkeypatch):
+    import itertools
+    from collections import Counter
+
+    import powdom.verify as verify_mod
+
+    calls = Counter()
+    real_commutes = verify_mod.commutes
+
+    def spy(alg, s, o, rng, trials):
+        calls[(alg.name, s, o)] += 1
+        return real_commutes(alg, s, o, rng, trials)
+
+    monkeypatch.setattr(verify_mod, "commutes", spy)
+    checks = verify_mod.check_algebra_laws(CFG)
+    assert record(checks, "algebra.interchange-symmetric").passed
+    algs = catalog.builtin_algebras()
+    expected = Counter()
+    for name in SYMMETRY_ALGEBRAS:
+        for s, o in itertools.combinations(algs[name].signature.symbols(), 2):
+            expected[(name, s, o)] += 1
+            expected[(name, o, s)] += 1
+    assert calls == expected
+
+
+def test_interchange_symmetry_witness_names_the_lying_pair(monkeypatch):
+    import powdom.verify as verify_mod
+
+    symbols = catalog.builtin_algebras()["rplus_semiring"].signature.symbols()
+    sigma, omega = symbols[1], symbols[2]
+    real_commutes = verify_mod.commutes
+
+    def liar(alg, s, o, rng, trials):
+        # the transposed call alone fails
+        if (alg.name, s, o) == ("rplus_semiring", omega, sigma):
+            return CheckOutcome(f"commutes:{s},{o}", False)
+        return real_commutes(alg, s, o, rng, trials)
+
+    monkeypatch.setattr(verify_mod, "commutes", liar)
+    outcome = record(verify_mod.check_algebra_laws(CFG), "algebra.interchange-symmetric")
+    assert outcome.witness == {"algebra": "rplus_semiring", "sigma": sigma, "omega": omega}
+
+
+def test_valuation_laws_scale_each_predicate_once(monkeypatch):
+    from powdom import powerdomain
+    from powdom.poset import all_up_sets
+    from powdom.sampling import SCALAR_GRID
+
+    import powdom.verify as verify_mod
+
+    built = {}
+    kept = []  # the predicates stay alive so that their ids stay theirs
+    real_scale = powerdomain.pred_scale
+
+    def spy(r, f):
+        kept.append(f)
+        key = (r, id(f))
+        built[key] = built.get(key, 0) + 1
+        return real_scale(r, f)
+
+    monkeypatch.setattr(powerdomain, "pred_scale", spy)
+    cfg = SuiteConfig(seed=42, trials=100, catalog_max=2)
+    checks = verify_mod.check_valuations(cfg)
+    assert all(c.passed for c in checks)
+    assert max(built.values()) == 1
+    # the up-set characteristics and 1000 sampled predicates per poset, each
+    # scaled by every grid scalar
+    preds = sum(len(all_up_sets(p)) + 1000 for p in cfg.posets().values())
+    assert len(built) == len(SCALAR_GRID) * preds == 21063
+
+
+def test_linearity_witness_names_the_faulty_scaled_predicate(monkeypatch):
+    from powdom.powerdomain import SimpleValuation, chi, linearity_failures
+    from powdom.poset import all_up_sets
+
+    import powdom.verify as verify_mod
+
+    c2 = catalog.builtin_posets()["C2"]
+    mu = catalog.catalog_valuations(c2)[1]  # the point evaluation at the top
+    (f,) = [g for g in map(chi, all_up_sets(c2)) if g.values == (ZERO, ONE)]
+    r = ExtNN(Fraction(1, 2))
+    scaled = tuple(r * v for v in f.values)
+    real_call = SimpleValuation.__call__
+
+    def faulty(nu, g):
+        value = real_call(nu, g)
+        return value + ONE if nu == mu and g.values == scaled else value
+
+    monkeypatch.setattr(SimpleValuation, "__call__", faulty)
+    outcome = record(verify_mod.check_valuations(CFG), "valuation.linear")
+    witness = {"mu": mu.literal(), "r": str(r), "f": f.literal()}
+    assert outcome.witness == {"poset": "C2", **witness}
+    assert next(linearity_failures([mu], [], [f])) == witness
