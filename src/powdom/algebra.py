@@ -92,7 +92,7 @@ class Signature:
 class FinAlgebra:
     """A finite poset carrier with one monotone table per operation."""
 
-    exhaustive = True
+    mode = EXHAUSTIVE
 
     def __init__(self, name, carrier: FinPoset, signature: Signature, tables, expo=None):
         self.name = name
@@ -192,10 +192,6 @@ class FinAlgebra:
     def sample_param(self, symbol, rng):
         return None
 
-    @property
-    def check_mode(self) -> str:
-        return EXHAUSTIVE
-
 
 class RatAlgebra:
     """Ops on the extended nonnegative rationals, realised as closed forms.
@@ -204,7 +200,7 @@ class RatAlgebra:
     parameter the same way they quantify over carrier values.
     """
 
-    exhaustive = False
+    mode = SAMPLED
 
     def __init__(self, name, signature: Signature, ops, grid=LAW_GRID):
         self.name = name
@@ -270,10 +266,6 @@ class RatAlgebra:
         if not self.signature.spec(symbol).parametric:
             return None
         return random_extnn(rng)
-
-    @property
-    def check_mode(self) -> str:
-        return SAMPLED
 
 
 def lift_pointwise(algebra: FinAlgebra, base: FinPoset, size_guard: int = DEFAULT_SIZE_GUARD) -> FinAlgebra:
@@ -402,13 +394,13 @@ def _interchange_check(algebra, sigma: str, omega: str, relation, rng=None, tria
             for o_param in algebra.grid_params(omega):
                 for flat in algebra.grid_tuples(n * m):
                     yield tuple(flat[i * m : (i + 1) * m] for i in range(n)), s_param, o_param
-        if not algebra.exhaustive and rng is not None:
+        if algebra.mode == SAMPLED and rng is not None:
             for _ in range(trials):
                 matrix = tuple(algebra.sample_tuple(m, rng) for _ in range(n))
                 yield matrix, algebra.sample_param(sigma, rng), algebra.sample_param(omega, rng)
 
     witnesses = filter(None, itertools.starmap(instance_fails, instances()))
-    return first_failure(name, witnesses, algebra.check_mode)
+    return first_failure(name, witnesses, algebra.mode)
 
 
 def commutes(algebra, sigma: str, omega: str, rng=None, trials=0) -> CheckOutcome:
@@ -436,7 +428,7 @@ def is_entropic(algebra, rng=None, trials=0) -> CheckOutcome:
     for sigma in algebra.signature.symbols():
         for omega in algebra.signature.symbols():
             checks.append(commutes(algebra, sigma, omega, rng, trials))
-    return CheckOutcome.composite("entropic", checks, algebra.check_mode)
+    return CheckOutcome.composite("entropic", checks, algebra.mode)
 
 
 def is_relaxed_entropic(algebra, rng=None, trials=0) -> CheckOutcome:
@@ -448,7 +440,7 @@ def is_relaxed_entropic(algebra, rng=None, trials=0) -> CheckOutcome:
                 checks.append(subcommutes(algebra, sigma, omega_spec.symbol, rng, trials))
             if omega_spec.oplax:
                 checks.append(supercommutes(algebra, sigma, omega_spec.symbol, rng, trials))
-    return CheckOutcome.composite("relaxed-entropic", checks, algebra.check_mode)
+    return CheckOutcome.composite("relaxed-entropic", checks, algebra.mode)
 
 
 def _as_callable(phi, b, r):
@@ -487,13 +479,13 @@ def _morphism_check(phi, b, r, relation_for, rng, trials, name) -> CheckOutcome:
             for param in b.grid_params(op.symbol):
                 for args in b.grid_tuples(op.arity):
                     yield op, relation, args, param
-            if not b.exhaustive and rng is not None:
+            if b.mode == SAMPLED and rng is not None:
                 for _ in range(trials):
                     args = b.sample_tuple(op.arity, rng)
                     yield op, relation, args, b.sample_param(op.symbol, rng)
 
     witnesses = filter(None, itertools.starmap(instance_fails, instances()))
-    return first_failure(name, witnesses, b.check_mode)
+    return first_failure(name, witnesses, b.mode)
 
 
 def is_homomorphism(phi, b, r, rng=None, trials=0) -> CheckOutcome:
@@ -684,8 +676,8 @@ def check_module_axioms(action: EndoAction, algebra, rng=None, trials=DEFAULT_TR
     identity action, compatibility with composition, ops on endos acting
     pointwise, and each endo acting as an op-preserving map.
     """
-    sampled = not algebra.exhaustive and rng is not None and action.sample_endo is not None
-    mode = algebra.check_mode
+    sampled = algebra.mode == SAMPLED and rng is not None and action.sample_endo is not None
+    mode = algebra.mode
 
     checks = []
 

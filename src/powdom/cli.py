@@ -240,7 +240,7 @@ def _classify_ptransformer(s):
 def _cmd_transform(args, ws, report):
     if args.direction == "p2q":
         t = ws.transformer(args.name)
-        s = p_transform(t, args.size_guard)
+        s = p_transform(t)
         x_name = _poset_name(ws, t.source)
         y_name = _poset_name(ws, t.space.x)
         literal = ptransformer_literal(
@@ -248,13 +248,13 @@ def _cmd_transform(args, ws, report):
         )
     else:
         s = ws.ptransformer(args.name)
-        t = q_transform(s, args.size_guard)
+        t = q_transform(s)
         x_name = _poset_name(ws, t.source)
         y_name = _poset_name(ws, t.space.x)
         literal = transformer_literal(
             f"{args.name}_q", t, x_name, y_name, t.space.algebra.name
         )
-        s = p_transform(t, args.size_guard)
+        s = p_transform(t)
     classification = _classify_ptransformer(s)
     report.payload["direction"] = args.direction
     report.payload["name"] = args.name

@@ -10,7 +10,10 @@ Each transformer computes p(t) once and keeps it, so a lift is one table
 gather.  It also keeps its lift table, the index of lift(t)(phi) for every
 functional phi over its source, built on first use through
 ``kleisli_lift``; Kleisli composition and the monad laws read their lifts
-off the kept tables instead of lifting again.
+off the kept tables instead of lifting again.  p, its inverse q and the
+unit are one transpose.  The size guard is set where a space is built, and
+everything derived from it (transformers into it, their p(t), lift tables
+and composites, and the monad laws) inherits that guard.
 
 Three families of functionals sit inside the full double exponential: the
 op-preserving ones (hom), the tag-relaxed ones, and the family generated
@@ -48,15 +51,13 @@ class FunctionalSpace:
     def __init__(self, x: FinPoset, algebra: FinAlgebra, size_guard: int):
         self.x = x
         self.algebra = algebra
+        self.size_guard = size_guard
         self.pred_algebra = lift_pointwise(algebra, x, size_guard)
         self.predicates = self.pred_algebra.expo
         self.func_algebra = lift_pointwise(algebra, self.predicates.poset, size_guard)
         self.space = self.func_algebra.expo
-        self.delta_indices = tuple(
-            self.space.index(
-                tuple(m.table[i] for m in self.predicates.maps)
-            )
-            for i in range(x.size)
+        self.delta_indices = _transpose(
+            [m.table for m in self.predicates.maps], x.size, self.space, "point evaluation is not monotone"
         )
         self._hom = None
         self._relaxed = None
@@ -104,6 +105,15 @@ class FunctionalSpace:
         return sub_poset(self.space.poset, indices)
 
 
+def _transpose(rows, width, expo, message) -> tuple:
+    """The index in ``expo`` of each of the ``width`` columns of ``rows``;
+    ``width`` is given because over the empty poset there are no rows."""
+    try:
+        return tuple(expo.index(tuple(row[c] for row in rows)) for c in range(width))
+    except TypeMismatch:
+        raise NonMonotoneResult(message) from None
+
+
 @lru_cache(maxsize=None)
 def _functional_space(x, algebra, name, size_guard):
     return FunctionalSpace(x, algebra, size_guard)
@@ -144,38 +154,34 @@ class StateTransformer:
         self.source = source
         self.space = space
         self.table = MonoMap(source, space.space.poset, table).table
-        self._p = None  # (size_guard, p(t)) once p(t) has been asked for
-        self._lifts = None  # (size_guard, lift table) once it has been asked for
+        self._p = None
+        self._lifts = None
 
     def __call__(self, i: int) -> MonoMap:
         return self.space.functional(self.table[i])
 
-    def predicate_transformer(self, size_guard: int = DEFAULT_SIZE_GUARD) -> "PredicateTransformer":
-        """p(t): g |-> (x |-> t(x)(g)), computed on first use and kept."""
-        if self._p is None or self._p[0] != size_guard:
-            x_space = functional_space(self.source, self.space.algebra, size_guard)
-            functionals = [self.space.functional(k).table for k in self.table]
-            table = []
-            for g in range(len(self.space.predicates)):
-                try:
-                    table.append(
-                        x_space.predicates.index(tuple(f[g] for f in functionals))
-                    )
-                except TypeMismatch:
-                    raise NonMonotoneResult("transformed predicate is not monotone") from None
-            self._p = (size_guard, PredicateTransformer(self.space, x_space, tuple(table)))
-        return self._p[1]
+    def predicate_transformer(self) -> "PredicateTransformer":
+        """p(t): g |-> (x |-> t(x)(g)), computed on first use and kept; the
+        source's spaces are built under the target space's guard."""
+        if self._p is None:
+            space = self.space
+            x_space = functional_space(self.source, space.algebra, space.size_guard)
+            functionals = [space.functional(k).table for k in self.table]
+            table = _transpose(
+                functionals, len(space.predicates), x_space.predicates, "transformed predicate is not monotone"
+            )
+            self._p = PredicateTransformer(space, x_space, table)
+        return self._p
 
-    def lift_table(self, size_guard: int = DEFAULT_SIZE_GUARD) -> tuple:
+    def lift_table(self) -> tuple:
         """Index k of the functionals over the source to the index of
         ``kleisli_lift(t, maps[k])`` among those over the target; computed on
-        first use and kept, keyed by the size guard as p(t) is."""
-        if self._lifts is None or self._lifts[0] != size_guard:
-            maps = self.predicate_transformer(size_guard).x_space.space.maps
+        first use and kept."""
+        if self._lifts is None:
+            maps = self.predicate_transformer().x_space.space.maps
             index = self.space.space.index
-            table = tuple(index(kleisli_lift(self, phi, size_guard).table) for phi in maps)
-            self._lifts = (size_guard, table)
-        return self._lifts[1]
+            self._lifts = tuple(index(kleisli_lift(self, phi).table) for phi in maps)
+        return self._lifts
 
     def __eq__(self, other):
         return (
@@ -228,9 +234,9 @@ def delta_transformer(x: FinPoset, algebra: FinAlgebra, size_guard: int = DEFAUL
     return functional_space(x, algebra, size_guard).unit
 
 
-def kleisli_lift(t: StateTransformer, phi: MonoMap, size_guard: int = DEFAULT_SIZE_GUARD) -> MonoMap:
+def kleisli_lift(t: StateTransformer, phi: MonoMap) -> MonoMap:
     """lift(t)(phi) = phi . p(t): the functional g |-> phi(x |-> t(x)(g))."""
-    p = t.predicate_transformer(size_guard)
+    p = t.predicate_transformer()
     if phi.source != p.x_space.predicates.poset:
         raise TypeMismatch("functional does not live over the transformer's source")
     phi_table = phi.table
@@ -254,67 +260,62 @@ def functor_action(u: MonoMap, phi: MonoMap, algebra: FinAlgebra, size_guard: in
     return MonoMap(y_space.predicates.poset, algebra.carrier, tuple(out))
 
 
-def p_transform(t: StateTransformer, size_guard: int = DEFAULT_SIZE_GUARD) -> PredicateTransformer:
+def p_transform(t: StateTransformer) -> PredicateTransformer:
     """State to predicate transformer: g |-> (x |-> t(x)(g))."""
-    return t.predicate_transformer(size_guard)
+    return t.predicate_transformer()
 
 
-def q_transform(s: PredicateTransformer, size_guard: int = DEFAULT_SIZE_GUARD) -> StateTransformer:
+def q_transform(s: PredicateTransformer) -> StateTransformer:
     """Predicate to state transformer: x |-> (g |-> s(g)(x))."""
-    y_space = s.y_space
-    table = []
-    for i in range(s.x_space.x.size):
-        functional = tuple(
-            s.x_space.predicates.maps[s.table[g]].table[i]
-            for g in range(len(y_space.predicates))
-        )
-        try:
-            table.append(y_space.space.index(functional))
-        except TypeMismatch:
-            raise NonMonotoneResult("resulting functional is not monotone") from None
-    return StateTransformer(s.x_space.x, y_space, tuple(table))
+    predicates = [s.x_space.predicates.maps[k].table for k in s.table]
+    table = _transpose(predicates, s.x_space.x.size, s.y_space.space, "resulting functional is not monotone")
+    return StateTransformer(s.x_space.x, s.y_space, table)
 
 
-def all_state_transformers(x: FinPoset, target: FunctionalSpace, indices=None, size_guard: int = DEFAULT_SIZE_GUARD):
-    """Every monotone t from x into the functional space (or a sub-family)."""
+def all_state_transformers(x: FinPoset, target: FunctionalSpace, indices=None):
+    """Every monotone t from x into the functional space (or a sub-family),
+    enumerated under the space's guard."""
     if indices is None:
-        expo = enumerate_monotone(x, target.space.poset, size_guard)
+        expo = enumerate_monotone(x, target.space.poset, target.size_guard)
         return [StateTransformer(x, target, m.table) for m in expo.maps]
     family = target.family_poset(indices)
-    expo = enumerate_monotone(x, family, size_guard)
+    expo = enumerate_monotone(x, family, target.size_guard)
     return [
         StateTransformer(x, target, tuple(indices[v] for v in m.table))
         for m in expo.maps
     ]
 
 
-def all_predicate_transformers(y_space: FunctionalSpace, x_space: FunctionalSpace, size_guard: int = DEFAULT_SIZE_GUARD):
-    expo = enumerate_monotone(y_space.predicates.poset, x_space.predicates.poset, size_guard)
+def all_predicate_transformers(y_space: FunctionalSpace, x_space: FunctionalSpace):
+    expo = enumerate_monotone(y_space.predicates.poset, x_space.predicates.poset, x_space.size_guard)
     return [PredicateTransformer(y_space, x_space, m.table) for m in expo.maps]
 
 
-def compose_transformers(t: StateTransformer, r: StateTransformer, size_guard: int = DEFAULT_SIZE_GUARD) -> StateTransformer:
+def compose_transformers(t: StateTransformer, r: StateTransformer) -> StateTransformer:
     """The Kleisli composite x |-> lift(r)(t(x)), read off r's kept lift table."""
-    if t.space.predicates.poset != r.predicate_transformer(size_guard).x_space.predicates.poset:
+    if t.space.predicates.poset != r.predicate_transformer().x_space.predicates.poset:
         raise TypeMismatch("the first transformer's target is not the second's source")
-    lifts = r.lift_table(size_guard)
+    lifts = r.lift_table()
     return StateTransformer(t.source, r.space, tuple(lifts[k] for k in t.table))
 
 
-def check_monad_laws(x, y, z, algebra, t: StateTransformer, r: StateTransformer, size_guard: int = DEFAULT_SIZE_GUARD):
+def check_monad_laws(x, y, z, algebra, t: StateTransformer, r: StateTransformer):
     """The two unit laws and associativity for one (t, r) pair, exhaustively,
     as index comparisons on the kept lift tables."""
     if t.source != x or t.space.x != y or r.source != y or r.space.x != z:
         raise TypeMismatch("transformer endpoints do not match the stated posets")
-    maps = functional_space(x, algebra, size_guard).space.maps
-    unit = delta_transformer(x, algebra, size_guard)
-    rt = compose_transformers(t, r, size_guard)
-    t_lifts = t.lift_table(size_guard)
-    r_lifts = r.lift_table(size_guard)
+    if t.space.algebra != algebra or r.space.algebra != algebra:
+        raise TypeMismatch("transformer algebras do not match the stated algebra")
+    x_space = t.predicate_transformer().x_space
+    maps = x_space.space.maps
+    unit = x_space.unit
+    rt = compose_transformers(t, r)
+    t_lifts = t.lift_table()
+    r_lifts = r.lift_table()
     return [
         first_failure(
             "monad:lift-of-unit-is-identity",
-            ({"phi": maps[k].key()} for k, j in enumerate(unit.lift_table(size_guard)) if j != k),
+            ({"phi": maps[k].key()} for k, j in enumerate(unit.lift_table()) if j != k),
         ),
         first_failure(
             "monad:lift-after-unit-is-plain",
@@ -328,7 +329,7 @@ def check_monad_laws(x, y, z, algebra, t: StateTransformer, r: StateTransformer,
             "monad:lift-is-associative",
             (
                 {"phi": maps[k].key()}
-                for k, j in enumerate(rt.lift_table(size_guard))
+                for k, j in enumerate(rt.lift_table())
                 if j != r_lifts[t_lifts[k]]
             ),
         ),

@@ -118,7 +118,7 @@ class PredAlgebra:
     sampling draws random monotone predicates.
     """
 
-    exhaustive = False
+    mode = SAMPLED
 
     def __init__(self, base, poset: FinPoset, size_guard: int = DEFAULT_SIZE_GUARD):
         self.base = base
@@ -154,10 +154,6 @@ class PredAlgebra:
 
     def sample_param(self, symbol, rng):
         return self.base.sample_param(symbol, rng)
-
-    @property
-    def check_mode(self) -> str:
-        return SAMPLED
 
 
 # ---------------------------------------------------------------------------
@@ -273,9 +269,7 @@ def valuation_leq(mu: SimpleValuation, nu: SimpleValuation, size_guard: int = DE
     """Pointwise domination on all predicates, via the layer-cake reduction."""
     if mu.poset != nu.poset:
         raise TypeMismatch("valuations live over different posets")
-    return all(
-        mu(chi(u)) <= nu(chi(u)) for u in all_up_sets(mu.poset, size_guard)
-    )
+    return all(mu(f) <= nu(f) for f in map(chi, all_up_sets(mu.poset, size_guard)))
 
 
 def linearity_failures(vals, pairs_over, scaled_over):
@@ -521,18 +515,9 @@ def sobrification(x: FinPoset, frame_algebra: FinAlgebra, size_guard: int = DEFA
 # sublinear / superlinear law checks
 
 
-def _predicate_pairs(poset, rng, trials, size_guard):
-    chis = [chi(u) for u in all_up_sets(poset, size_guard)]
-    for f, g in itertools.product(chis, repeat=2):
-        yield f, g
-    for _ in range(trials):
-        yield random_predicate(poset, rng), random_predicate(poset, rng)
-
-
-def _homogeneity_check(phi, poset, rng, trials, size_guard):
-    chis = [chi(u) for u in all_up_sets(poset, size_guard)]
+def _homogeneity_check(phi, chis, rng, trials):
     # every scalar walks the same predicates, so the samples are drawn up front
-    preds = chis + [random_predicate(poset, rng) for _ in range(trials)]
+    preds = chis + [random_predicate(phi.poset, rng) for _ in range(trials)]
     witnesses = (
         {"r": str(r), "f": f.literal(), "lhs": str(lhs), "rhs": str(rhs)}
         for r in SCALAR_GRID
@@ -542,10 +527,12 @@ def _homogeneity_check(phi, poset, rng, trials, size_guard):
     return first_failure("homogeneity", witnesses, SAMPLED)
 
 
-def _pair_law_check(name, phi, poset, rng, trials, size_guard, combine, combine_values, holds):
+def _pair_law_check(name, phi, chis, rng, trials, combine, combine_values, holds):
+    poset = phi.poset
+    samples = ((random_predicate(poset, rng), random_predicate(poset, rng)) for _ in range(trials))
     witnesses = (
         {"f": f.literal(), "g": g.literal(), "lhs": str(lhs), "rhs": str(rhs)}
-        for f, g in _predicate_pairs(poset, rng, trials, size_guard)
+        for f, g in itertools.chain(itertools.product(chis, repeat=2), samples)
         if not holds(lhs := phi(combine(f, g)), rhs := combine_values(phi(f), phi(g)))
     )
     return first_failure(name, witnesses, SAMPLED)
@@ -559,16 +546,16 @@ def check_linear_side(phi, side: LinearSide, trials: int = DEFAULT_TRIALS, seed:
     """
     poset = phi.poset
     below = side.below
+    chis = [chi(u) for u in all_up_sets(poset, size_guard)]
     checks = [
         CheckOutcome("zero-at-zero", phi(constant_predicate(poset, ZERO)) == ZERO),
-        _homogeneity_check(phi, poset, task_rng(seed, f"{side.name}:homog"), max(trials // 10, 10), size_guard),
+        _homogeneity_check(phi, chis, task_rng(seed, f"{side.name}:homog"), max(trials // 10, 10)),
         _pair_law_check(
             side.additive,
             phi,
-            poset,
+            chis,
             task_rng(seed, f"{side.name}:add"),
             trials,
-            size_guard,
             pred_add,
             lambda a, b: a + b,
             lambda l, r: _oriented_leq(below, l, r),
@@ -576,10 +563,9 @@ def check_linear_side(phi, side: LinearSide, trials: int = DEFAULT_TRIALS, seed:
         _pair_law_check(
             side.lattice,
             phi,
-            poset,
+            chis,
             task_rng(seed, f"{side.name}:{side.lattice_label}"),
             trials,
-            size_guard,
             side.pred_combine,
             side.combine,
             lambda l, r: _oriented_leq(below, r, l),

@@ -340,8 +340,8 @@ def check_monad(cfg: SuiteConfig):
     # the lifting preserves the pointwise ops and the hom family
     def op_failures():
         for at, xs, ys in spaces():
-            for t in all_state_transformers(xs.x, ys, None, cfg.size_guard):
-                lifts = t.lift_table(cfg.size_guard)
+            for t in all_state_transformers(xs.x, ys):
+                lifts = t.lift_table()
                 for op in xs.algebra.signature.ops:
                     for args in itertools.product(range(len(xs.space)), repeat=op.arity):
                         lhs = lifts[xs.func_algebra.apply(op.symbol, args)]
@@ -352,8 +352,8 @@ def check_monad(cfg: SuiteConfig):
     def hom_failures():
         for at, xs, ys in spaces():
             homs = set(ys.hom_indices)
-            for t in all_state_transformers(xs.x, ys, ys.hom_indices, cfg.size_guard):
-                lifts = t.lift_table(cfg.size_guard)
+            for t in all_state_transformers(xs.x, ys, ys.hom_indices):
+                lifts = t.lift_table()
                 for i in xs.hom_indices:
                     if lifts[i] not in homs:
                         yield {**at, "t": _transformer(t), "phi": xs.functional(i).key()}
@@ -403,11 +403,11 @@ def _correspondence_failures(r, posets, cfg):
             ("hom", ys.hom_indices, is_homomorphism),
             ("relaxed", ys.relaxed_indices, is_relaxed_morphism),
         ):
-            ts = all_state_transformers(x, ys, indices, cfg.size_guard)
-            images = {p_transform(t, cfg.size_guard).table for t in ts}
+            ts = all_state_transformers(x, ys, indices)
+            images = {p_transform(t).table for t in ts}
             morphisms = {
                 s.table
-                for s in all_predicate_transformers(ys, xs, cfg.size_guard)
+                for s in all_predicate_transformers(ys, xs)
                 if is_morphism(s.as_map(), ys.pred_algebra, xs.pred_algebra)
             }
             if images != morphisms:
@@ -429,11 +429,11 @@ def check_transform_roundtrips(cfg: SuiteConfig):
         for (xn, x), (yn, y) in itertools.product(posets.items(), repeat=2):
             xs = functional_space(x, r, cfg.size_guard)
             ys = functional_space(y, r, cfg.size_guard)
-            for t in all_state_transformers(x, ys, None, cfg.size_guard):
-                if q_transform(p_transform(t, cfg.size_guard), cfg.size_guard) != t:
+            for t in all_state_transformers(x, ys):
+                if q_transform(p_transform(t)) != t:
                     yield {"x": xn, "y": yn, "t": _transformer(t)}
-            for s in all_predicate_transformers(ys, xs, cfg.size_guard):
-                if p_transform(q_transform(s, cfg.size_guard), cfg.size_guard) != s:
+            for s in all_predicate_transformers(ys, xs):
+                if p_transform(q_transform(s)) != s:
                     yield {"x": xn, "y": yn, "s": _predicate_table(ys, xs, s.table)}
 
     return [first_failure("monad.pq-roundtrip", failures())]
@@ -445,13 +445,15 @@ def check_monad_laws_suite(cfg: SuiteConfig):
     small = {k: posets[k] for k in ("one", "C2", "A2")}
 
     def failures(r):
+        # each ordered pair's transformers once, so their kept lift tables
+        # serve every third poset
+        transformers = {
+            (xn, yn): all_state_transformers(small[xn], functional_space(small[yn], r, cfg.size_guard))
+            for xn, yn in itertools.product(small, repeat=2)
+        }
         for (xn, x), (yn, y), (zn, z) in itertools.product(small.items(), repeat=3):
-            ys = functional_space(y, r, cfg.size_guard)
-            zs = functional_space(z, r, cfg.size_guard)
-            ts = all_state_transformers(x, ys, None, cfg.size_guard)
-            rs = all_state_transformers(y, zs, None, cfg.size_guard)
-            for t, rr in itertools.product(ts, rs):
-                for law in check_monad_laws(x, y, z, r, t, rr, cfg.size_guard):
+            for t, rr in itertools.product(transformers[xn, yn], transformers[yn, zn]):
+                for law in check_monad_laws(x, y, z, r, t, rr):
                     if not law.passed:
                         yield {
                             "law": law.name, "x": xn, "y": yn, "z": zn,

@@ -185,6 +185,20 @@ class TestCli:
         proc = run_cli(["homs", "grid2", "2_ang", "--size-guard", "10"])
         assert proc.returncode == 3
 
+    def test_transform_refuses_source_spaces_past_the_size_guard(self, tmp_path):
+        # [[one -> 2] -> 2] fits a guard of 8, [[A2 -> 2] -> 2] does not
+        defs = tmp_path / "into_one.defs"
+        defs.write_text(
+            "transformer t : A2 -> one with 2_ang\n"
+            "at a { [0] -> 0; [1] -> 1 }\n"
+            "at b { [0] -> 0; [1] -> 1 }\n"
+            "end\n",
+            encoding="utf-8",
+        )
+        args = ["transform", "p2q", "t", "-f", str(defs), "--size-guard"]
+        assert run_cli(args + ["100"]).returncode == 0
+        assert run_cli(args + ["8"]).returncode == 3
+
     def test_parse_error_exit_two(self, tmp_path):
         bad = tmp_path / "bad.defs"
         bad.write_text("poset X\nelems a a\nend\n", encoding="utf-8")

@@ -24,7 +24,7 @@ from powdom.monad import (
     q_transform,
     relaxed_functionals,
 )
-from powdom.poset import is_order_iso, set_inclusion_poset, all_down_sets
+from powdom.poset import FinPoset, is_order_iso, set_inclusion_poset, all_down_sets
 
 POSETS = catalog.builtin_posets()
 ALGS = catalog.builtin_algebras()
@@ -164,17 +164,23 @@ class TestLiftIsPrecomposition:
             with pytest.raises(TypeMismatch):
                 kleisli_lift(t, functional_space(POSETS["chain3"], r).space.maps[0])
 
-    def test_size_guard_still_applies_after_p_is_kept(self):
-        # p(t) kept under the default guard does not let a smaller guard
-        # skip the build of the source's spaces
+    def test_transformers_take_the_guard_of_their_target_space(self):
+        # [[one -> 2] -> 2] fits a guard of 8, but [[A2 -> 2] -> 2] has 2^4
+        # tables on the a priori bound, so everything that builds the
+        # source's spaces refuses
         r = ALGS["2_ang"]
         x = POSETS["A2"]
-        xs = functional_space(x, r)
-        t = delta_transformer(x, r)
-        phi = xs.space.maps[0]
-        assert kleisli_lift(t, phi).table == phi.table
-        with pytest.raises(SizeGuardExceeded):
-            kleisli_lift(t, phi, size_guard=8)
+        t = StateTransformer(x, functional_space(POSETS["one"], r, 8), (0, 0))
+        into_a2 = all_state_transformers(POSETS["one"], functional_space(x, r))[0]
+        phi = functional_space(x, r).space.maps[0]
+        for derived in (
+            t.predicate_transformer,
+            t.lift_table,
+            lambda: kleisli_lift(t, phi),
+            lambda: compose_transformers(into_a2, t),
+        ):
+            with pytest.raises(SizeGuardExceeded):
+                derived()
 
 
 class TestFunctorAction:
@@ -255,6 +261,25 @@ class TestTransformers:
             assert q_transform(p_transform(t)) == t
         for s in all_predicate_transformers(ys, xs):
             assert p_transform(q_transform(s)) == s
+
+    @pytest.mark.parametrize("yn", ["one", "C2"])
+    def test_roundtrips_over_the_empty_poset(self, yn):
+        # the transpose has no rows when the source is empty, and no
+        # columns when the target is, so both sides are covered
+        empty, y = FinPoset((), ()), POSETS[yn]
+        r = ALGS["2_ang"]
+        es, ys = functional_space(empty, r), functional_space(y, r)
+        # one predicate over no points, and the unit has no points to send
+        assert len(es.predicates) == 1 and len(es.space) == 2
+        assert es.delta_indices == es.unit.table == ()
+        assert p_transform(es.unit).table == (0,)
+        for x, xs, target in ((empty, es, ys), (y, ys, es)):
+            ts = all_state_transformers(x, target)
+            assert ts
+            for t in ts:
+                assert q_transform(p_transform(t)) == t
+            for s in all_predicate_transformers(target, xs):
+                assert p_transform(q_transform(s)) == s
 
     def test_hom_correspondence(self):
         # transformers valued in op-preserving functionals match exactly the
@@ -346,6 +371,10 @@ class TestMonadLaws:
         t = all_state_transformers(POSETS["C2"], ys)[0]
         with pytest.raises(TypeMismatch):
             check_monad_laws(POSETS["A2"], POSETS["C2"], POSETS["C2"], r, t, t)
+        # the unit and the functionals are read off t's spaces, so a stated
+        # algebra other than t's is refused rather than ignored
+        with pytest.raises(TypeMismatch):
+            check_monad_laws(POSETS["C2"], POSETS["C2"], POSETS["C2"], ALGS["2_dem"], t, t)
 
     def test_unit_laws_spot(self):
         x = POSETS["C2"]
@@ -465,44 +494,43 @@ def test_monad_laws_suite_builds_each_unit_p_once(monkeypatch):
     # the units and their kept p(t) and lift tables live on the cached
     # spaces, so an earlier test may have built them already; the spies
     # record what the run asks for, and the units' kept state is read after
-    from powdom import monad, verify
+    from powdom import verify
 
-    units = {}  # kept alive so that their ids stay theirs
-    real_delta = monad.delta_transformer
-
-    def recording(x, algebra, size_guard):
-        unit = real_delta(x, algebra, size_guard)
-        units[id(unit)] = unit
-        return unit
-
+    cfg = verify.SuiteConfig(seed=42, trials=50, catalog_max=2)
+    # one, C2 and A2 under 2_ang and 2_dem
+    units = {
+        id(unit): unit
+        for unit in (
+            functional_space(POSETS[xn], ALGS[an], cfg.size_guard).unit
+            for xn in ("one", "C2", "A2")
+            for an in ("2_ang", "2_dem")
+        )
+    }
     seen_p = {}
     seen_lifts = {}
     real_p = StateTransformer.predicate_transformer
     real_lifts = StateTransformer.lift_table
 
-    def spy_p(self, size_guard):
-        p = real_p(self, size_guard)
+    def spy_p(self):
+        p = real_p(self)
         if id(self) in units:
             seen_p.setdefault(id(self), {})[id(p)] = p
         return p
 
-    def spy_lifts(self, size_guard):
-        table = real_lifts(self, size_guard)
+    def spy_lifts(self):
+        table = real_lifts(self)
         if id(self) in units:
             seen_lifts.setdefault(id(self), {})[id(table)] = table
         return table
 
-    monkeypatch.setattr(monad, "delta_transformer", recording)
     monkeypatch.setattr(StateTransformer, "predicate_transformer", spy_p)
     monkeypatch.setattr(StateTransformer, "lift_table", spy_lifts)
-    cfg = verify.SuiteConfig(seed=42, trials=50, catalog_max=2)
     assert all(c.passed for c in verify.check_monad_laws_suite(cfg))
-    # one, C2 and A2 under 2_ang and 2_dem, each unit's p(t) one object and
-    # its lift table one kept table
-    assert len({(u.source, u.space.algebra.name) for u in units.values()}) == len(units) == 6
+    # each unit's p(t) one object and its lift table one kept table
+    assert len(units) == 6
     for key, unit in units.items():
-        p = real_p(unit, cfg.size_guard)
-        table = real_lifts(unit, cfg.size_guard)
+        p = real_p(unit)
+        table = real_lifts(unit)
         assert set(seen_p.get(key, {})) <= {id(p)}
         assert set(seen_lifts[key]) == {id(table)}
         assert len(table) == len(unit.space.space)
@@ -543,21 +571,6 @@ class TestKeptLiftTable:
                         zs.space.index(kleisli_lift(rr, t(i)).table) for i in range(x.size)
                     )
 
-    def test_size_guard_still_applies_after_the_table_is_kept(self):
-        r = ALGS["2_ang"]
-        # [[A2 -> 2] -> 2] has 2^4 tables on the a priori bound, past 8
-        x, y = POSETS["A2"], POSETS["A2"]
-        ys = functional_space(y, r)
-        t = all_state_transformers(x, ys)[3]
-        rr = all_state_transformers(y, functional_space(POSETS["C2"], r))[2]
-        table = t.lift_table()
-        rr.lift_table()
-        with pytest.raises(SizeGuardExceeded):
-            t.lift_table(size_guard=8)
-        with pytest.raises(SizeGuardExceeded):
-            compose_transformers(t, rr, size_guard=8)
-        assert t.lift_table() is table
-
     def test_mismatched_endpoints(self):
         r = ALGS["2_ang"]
         c2s = functional_space(POSETS["C2"], r)
@@ -580,11 +593,11 @@ class TestKeptLiftTable:
         kept = []  # discarded composites would hand their ids on
         real_lift = monad.kleisli_lift
 
-        def spy(t, phi, size_guard=monad.DEFAULT_SIZE_GUARD):
+        def spy(t, phi):
             kept.append((t, phi))
             key = (id(t), id(phi))
             lifted[key] = lifted.get(key, 0) + 1
-            return real_lift(t, phi, size_guard)
+            return real_lift(t, phi)
 
         monkeypatch.setattr(monad, "kleisli_lift", spy)
         cfg = verify.SuiteConfig(seed=42, trials=50, catalog_max=2)

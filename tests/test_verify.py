@@ -176,8 +176,8 @@ def test_monad_laws_witness_names_the_law_and_the_pair(monkeypatch):
     real_compose = monad.compose_transformers
     target = ((1,), (2,))  # the tables of t and r, both over the one-point poset
 
-    def faulty(t, r, size_guard):
-        rt = real_compose(t, r, size_guard)
+    def faulty(t, r):
+        rt = real_compose(t, r)
         if (t.table, r.table) != target or {t.source, t.space.x, r.space.x} != {one}:
             return rt
         wrong = ((rt.table[0] + 1) % len(rt.space.space),)
@@ -286,8 +286,8 @@ def test_lifting_witnesses_name_the_transformer(monkeypatch):
     c2 = catalog.builtin_posets()["C2"]
     real_lifts = StateTransformer.lift_table
 
-    def faulty(t, size_guard):
-        table = real_lifts(t, size_guard)
+    def faulty(t):
+        table = real_lifts(t)
         if t.source == c2 and t.space is functional_space(c2, algebra):
             # every functional lifts to the constant top, which breaks zero
             return (len(t.space.space) - 1,) * len(table)
