@@ -183,6 +183,22 @@ class TestLiftIsPrecomposition:
                 derived()
 
 
+    def test_size_guard_still_applies_after_p_is_kept(self):
+        # p(t) kept on the unit of A2, whose source spaces are built under
+        # the default guard, does not let a transformer from A2 into a space
+        # with a guard of 8 skip the build of A2's spaces under its own guard
+        r = ALGS["2_ang"]
+        x = POSETS["A2"]
+        t = delta_transformer(x, r)
+        phi = functional_space(x, r).space.maps[0]
+        assert kleisli_lift(t, phi).table == phi.table
+        small = StateTransformer(x, functional_space(POSETS["one"], r, 8), (0, 0))
+        for _ in range(2):
+            with pytest.raises(SizeGuardExceeded):
+                kleisli_lift(small, phi)
+        assert t.predicate_transformer() is p_transform(t)
+
+
 class TestFunctorAction:
     def test_identity(self):
         x = POSETS["A2"]
@@ -570,6 +586,25 @@ class TestKeptLiftTable:
                     assert rt.table == tuple(
                         zs.space.index(kleisli_lift(rr, t(i)).table) for i in range(x.size)
                     )
+
+
+    def test_size_guard_still_applies_after_the_table_is_kept(self):
+        r = ALGS["2_ang"]
+        # [[A2 -> 2] -> 2] has 2^4 tables on the a priori bound, past 8
+        x = POSETS["A2"]
+        xs = functional_space(x, r)
+        kept = all_state_transformers(x, functional_space(POSETS["one"], r))[0]
+        table = kept.lift_table()
+        # the same table from A2, but into a space built under a guard of 8
+        small = StateTransformer(x, functional_space(POSETS["one"], r, 8), kept.table)
+        into_a2 = all_state_transformers(POSETS["C2"], xs)[2]
+        for _ in range(2):
+            with pytest.raises(SizeGuardExceeded):
+                small.lift_table()
+            with pytest.raises(SizeGuardExceeded):
+                compose_transformers(into_a2, small)
+        assert kept.lift_table() is table
+        assert compose_transformers(into_a2, kept).space is kept.space
 
     def test_mismatched_endpoints(self):
         r = ALGS["2_ang"]
