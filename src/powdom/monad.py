@@ -10,7 +10,9 @@ Each transformer computes p(t) once and keeps it, so a lift is one table
 gather.  It also keeps its lift table, the index of lift(t)(phi) for every
 functional phi over its source, built on first use through
 ``kleisli_lift``; Kleisli composition and the monad laws read their lifts
-off the kept tables instead of lifting again.  p, its inverse q and the
+off the kept tables instead of lifting again.  A space keeps the Kleisli
+composites into it, one per (source, table), so equal composites are one
+object and build their p(t) and lift table once.  p, its inverse q and the
 unit are one transpose.  The size guard is set where a space is built, and
 everything derived from it (transformers into it, their p(t), lift tables
 and composites, and the monad laws) inherits that guard.
@@ -62,6 +64,8 @@ class FunctionalSpace:
         self._hom = None
         self._relaxed = None
         self._free = None
+        # Kleisli composites into this space, one per (source, table)
+        self._composites = {}
 
     def functional(self, i: int) -> MonoMap:
         return self.space.maps[i]
@@ -292,11 +296,19 @@ def all_predicate_transformers(y_space: FunctionalSpace, x_space: FunctionalSpac
 
 
 def compose_transformers(t: StateTransformer, r: StateTransformer) -> StateTransformer:
-    """The Kleisli composite x |-> lift(r)(t(x)), read off r's kept lift table."""
+    """The Kleisli composite x |-> lift(r)(t(x)), read off r's kept lift table.
+
+    The target space keeps one composite per (source, table), so equal
+    composites are one object and build their p(t) and lift table once."""
     if t.space.predicates.poset != r.predicate_transformer().x_space.predicates.poset:
         raise TypeMismatch("the first transformer's target is not the second's source")
     lifts = r.lift_table()
-    return StateTransformer(t.source, r.space, tuple(lifts[k] for k in t.table))
+    table = tuple(lifts[k] for k in t.table)
+    kept = r.space._composites
+    rt = kept.get((t.source, table))
+    if rt is None:
+        rt = kept[t.source, table] = StateTransformer(t.source, r.space, table)
+    return rt
 
 
 def check_monad_laws(x, y, z, algebra, t: StateTransformer, r: StateTransformer):

@@ -639,3 +639,80 @@ class TestKeptLiftTable:
         assert all(c.passed for c in verify.check_monad_laws_suite(cfg))
         assert lifted
         assert max(lifted.values()) == 1
+
+
+class TestKeptComposites:
+    """The target space keeps one Kleisli composite per (source, table), so
+    equal composites are one object with one p(t) and one lift table."""
+
+    @pytest.mark.parametrize("r", LIFT_ALGEBRAS, ids=lambda r: r.name)
+    @pytest.mark.parametrize("xn", SMALL)
+    @pytest.mark.parametrize("yn", SMALL)
+    def test_equal_composites_are_one_object(self, r, xn, yn):
+        x, y = POSETS[xn], POSETS[yn]
+        ts = all_state_transformers(x, functional_space(y, r))
+        for zn in SMALL:
+            zs = functional_space(POSETS[zn], r)
+            by_table = {}
+            for rr in all_state_transformers(y, zs):
+                for t in ts:
+                    rt = compose_transformers(t, rr)
+                    assert rt.source == x and rt.space is zs
+                    assert by_table.setdefault(rt.table, rt) is rt
+
+    def test_kept_composite_builds_its_lift_table_once(self, monkeypatch):
+        r = ALGS["2_ang"]
+        c2s = functional_space(POSETS["C2"], r)
+        ts = all_state_transformers(POSETS["A2"], c2s)
+        rs = all_state_transformers(POSETS["C2"], c2s)
+        builds = {}
+        real_lifts = StateTransformer.lift_table
+
+        def spy(self):
+            if self._lifts is None:
+                builds[id(self)] = builds.get(id(self), 0) + 1
+            return real_lifts(self)
+
+        monkeypatch.setattr(StateTransformer, "lift_table", spy)
+        composites = [compose_transformers(t, rr) for t in ts for rr in rs]
+        tables = {}
+        for rt in composites:
+            assert tables.setdefault(rt.table, rt.lift_table()) is rt.lift_table()
+        assert len(tables) < len(composites)
+        assert all(builds.get(id(rt), 0) <= 1 for rt in composites)
+
+    def test_monad_laws_suite_builds_few_lift_tables(self, monkeypatch):
+        from powdom import verify
+
+        # counted as calls that find no kept table: 446 at a cold start, one
+        # per distinct transformer enumerated plus one per distinct composite
+        # (10,418 when each composite was a new object)
+        built = []
+        real_lifts = StateTransformer.lift_table
+
+        def spy(self):
+            if self._lifts is None:
+                built.append(self)
+            return real_lifts(self)
+
+        monkeypatch.setattr(StateTransformer, "lift_table", spy)
+        cfg = verify.SuiteConfig(seed=42, trials=100, catalog_max=2)
+        assert all(c.passed for c in verify.check_monad_laws_suite(cfg))
+        assert len(built) <= 446
+
+    def test_composites_stay_on_the_space_of_their_guard(self):
+        r = ALGS["2_ang"]
+        one = POSETS["one"]
+        wide = functional_space(one, r)
+        narrow = functional_space(one, r, 8)
+        assert narrow is not wide
+        t = all_state_transformers(one, wide)[1]
+        r_wide = all_state_transformers(one, wide)[2]
+        r_narrow = StateTransformer(one, narrow, r_wide.table)
+        kept = compose_transformers(t, r_wide)
+        composite = compose_transformers(t, r_narrow)
+        assert composite.table == kept.table
+        assert composite is not kept
+        assert composite.space is narrow and kept.space is wide
+        assert compose_transformers(t, r_narrow) is composite
+        assert compose_transformers(t, r_wide) is kept

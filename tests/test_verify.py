@@ -1,9 +1,11 @@
 import json
 from fractions import Fraction
 
+import pytest
+
 from powdom import catalog, monad
 from powdom.algebra import CheckOutcome
-from powdom.extnum import ExtNN, ONE, ZERO
+from powdom.extnum import INF, ExtNN, ONE, ZERO
 from powdom.funcspace import enumerate_monotone
 from powdom.monad import StateTransformer, all_state_transformers, check_monad_laws, functional_space
 from powdom.powerdomain import SUBLINEAR, Envelope, SubFn, check_linear_side
@@ -404,3 +406,59 @@ def test_linearity_witness_names_the_faulty_scaled_predicate(monkeypatch):
     witness = {"mu": mu.literal(), "r": str(r), "f": f.literal()}
     assert outcome.witness == {"poset": "C2", **witness}
     assert next(linearity_failures([mu], [], [f])) == witness
+
+
+def test_cone_laws_build_each_valuation_once(monkeypatch):
+    from powdom.powerdomain import SimpleValuation
+
+    import powdom.verify as verify_mod
+
+    built = [0]
+    real_post_init = SimpleValuation.__post_init__
+
+    def spy(self):
+        built[0] += 1
+        real_post_init(self)
+
+    monkeypatch.setattr(SimpleValuation, "__post_init__", spy)
+    checks = verify_mod.check_valuations(SuiteConfig(trials=100, catalog_max=2))
+    assert all(c.passed for c in checks)
+    # 65,033 when every law rebuilt its scaled and summed valuations
+    assert built[0] <= 6287
+
+
+# a scale that drops the first atom of its result for one scalar, and the
+# first cone-law witness it gives; pinned from the walk that rebuilt every
+# valuation for every (mu, nu, r, s), so sharing the evaluations must not
+# change which failure is reported first
+C2_PAIR = {"poset": "C2", "mu": "val { 1 @ bot }", "nu": "val { 1 @ top }"}
+ONE_PAIR = {"poset": "one", "mu": "val { 1 @ pt }", "nu": "val { 1 @ pt }"}
+
+
+@pytest.mark.parametrize(
+    "scalar, min_atoms, witness",
+    [
+        (ExtNN(Fraction(1, 2)), 2, {**C2_PAIR, "r": "1/2", "s": "0", "law": "r mu + r nu = r (mu + nu)"}),
+        (ExtNN(Fraction(1, 2)), 1, {**ONE_PAIR, "r": "1/3", "s": "1/2", "law": "s (r mu) = (r s) mu"}),
+        (INF, 1, {**ONE_PAIR, "r": "1/3", "s": "inf", "law": "r mu + s mu = (r + s) mu"}),
+        (ONE, 1, {**ONE_PAIR, "law": "1 mu + 0 nu = mu"}),
+    ],
+    ids=["half-on-sums", "half", "inf", "one"],
+)
+def test_cone_witness_of_a_faulty_scale_is_the_first_in_walk_order(monkeypatch, scalar, min_atoms, witness):
+    from powdom.powerdomain import SimpleValuation
+
+    import powdom.verify as verify_mod
+
+    real_scale = SimpleValuation.scale
+
+    def faulty(self, r):
+        out = real_scale(self, r)
+        if r == scalar and len(out.atoms) >= min_atoms:
+            return SimpleValuation(out.poset, out.atoms[1:])
+        return out
+
+    monkeypatch.setattr(SimpleValuation, "scale", faulty)
+    cfg = SuiteConfig(seed=42, trials=100, catalog_max=2)
+    outcome = record(verify_mod.check_valuations(cfg), "valuation.cone-laws")
+    assert outcome.witness == witness
