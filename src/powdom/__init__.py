@@ -34,26 +34,20 @@ from .monad import (
     PredicateTransformer,
     StateTransformer,
     delta,
-    free_functionals,
     functional_space,
     functor_action,
-    hom_functionals,
     kleisli_lift,
     p_transform,
     q_transform,
-    relaxed_functionals,
 )
 from .powerdomain import (
     Predicate,
     SimpleValuation,
     SubFn,
     SupFn,
-    check_sublinear,
-    check_superlinear,
     cone_combine,
     dirac,
     domination_check,
-    eval_valuation,
     hoare_powerdomain,
     non_integer_witness,
     smyth_powerdomain,

@@ -19,7 +19,7 @@ from functools import cache
 from .algebra import FinAlgebra, OpSpec, OpTag, RatAlgebra, Signature
 from .extnum import ExtNN, ONE, ZERO, enn_max, enn_min
 from .poset import FinPoset, poset_from_cover, product_poset
-from .powerdomain import SimpleValuation, SubFn, SupFn, dirac
+from .powerdomain import SimpleValuation, dirac
 
 # the two-element chain carrying every two-valued observation algebra
 TWO = FinPoset(("0", "1"), ((True, True), (False, True)))
@@ -220,11 +220,3 @@ def catalog_envelopes(poset: FinPoset, envelope, cap: int = 12):
                 return out
             out.append(envelope((vals[i], vals[j])))
     return out
-
-
-def catalog_subfns(poset: FinPoset, cap: int = 12):
-    return catalog_envelopes(poset, SubFn, cap)
-
-
-def catalog_supfns(poset: FinPoset, cap: int = 12):
-    return catalog_envelopes(poset, SupFn, cap)

@@ -292,6 +292,25 @@ def _cmd_export_dot(args, ws, report):
     report.add(CheckOutcome("export-dot", True))
 
 
+def _command_echo(argv) -> str:
+    """The command line without its output destinations, which are not
+    semantic inputs, so reports stay identical wherever they are written.
+
+    ``--json`` and ``--dot`` are dropped in every spelling the parser
+    accepts: ``--json PATH``, ``--json=PATH`` and unique prefixes such as
+    ``--js PATH`` (``--d`` is ambiguous with ``--defs`` and refused)."""
+    parts = []
+    tokens = iter(argv)
+    for tok in tokens:
+        option, eq, _ = tok.partition("=")
+        if len(option) > 2 and ("--json".startswith(option) or "--dot".startswith(option)):
+            if not eq:
+                next(tokens, None)
+            continue
+        parts.append(tok)
+    return " ".join(parts)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -305,20 +324,7 @@ def main(argv=None) -> int:
         print(f"error: --catalog-max must be at least {MIN_CATALOG_MAX}", file=sys.stderr)
         return 2
 
-    # output destinations are not semantic inputs; keep them out of the echo
-    # so reports stay identical wherever they are written
-    raw = list(argv if argv is not None else sys.argv[1:])
-    echo_parts = []
-    skip = False
-    for tok in raw:
-        if skip:
-            skip = False
-            continue
-        if tok in ("--json", "--dot"):
-            skip = True
-            continue
-        echo_parts.append(tok)
-    command_echo = " ".join(echo_parts)
+    command_echo = _command_echo(argv if argv is not None else sys.argv[1:])
     config = {
         "seed": args.seed,
         "trials": args.trials,

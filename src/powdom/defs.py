@@ -470,7 +470,7 @@ def _parse_transformer(ws: Workspace, lex: _Lexer, kw):
     if missing:
         raise ParseError(lex.path, kw.line, f"transformer misses elements {missing}")
     try:
-        t = StateTransformer(source, space, tuple(table))
+        t = space.transformer(source, table)
     except PowdomError as exc:
         raise ParseError(lex.path, kw.line, str(exc)) from None
     ws.define(ws.transformers, "transformer", name, t, lex.path, kw.line)

@@ -68,10 +68,6 @@ def identity_map(poset: FinPoset) -> MonoMap:
     return MonoMap(poset, poset, tuple(range(poset.size)))
 
 
-def constant_map(source: FinPoset, target: FinPoset, value: int) -> MonoMap:
-    return MonoMap(source, target, (value,) * source.size)
-
-
 def compose(u: MonoMap, v: MonoMap) -> MonoMap:
     """Apply u then v (i.e. the map v . u)."""
     if u.target != v.source:

@@ -10,12 +10,14 @@ Each transformer computes p(t) once and keeps it, so a lift is one table
 gather.  It also keeps its lift table, the index of lift(t)(phi) for every
 functional phi over its source, built on first use through
 ``kleisli_lift``; Kleisli composition and the monad laws read their lifts
-off the kept tables instead of lifting again.  A space keeps the Kleisli
-composites into it, one per (source, table), so equal composites are one
-object and build their p(t) and lift table once.  p, its inverse q and the
-unit are one transpose.  The size guard is set where a space is built, and
-everything derived from it (transformers into it, their p(t), lift tables
-and composites, and the monad laws) inherits that guard.
+off the kept tables instead of lifting again.  Every transformer is made
+by its target space, which keeps one per (source, table): the unit, the
+enumerated transformers, q(s), Kleisli composites and parsed literals with
+equal tables are one object, validated once, and build their p(t) and lift
+table once.  p, its inverse q and the unit are one transpose.  The size
+guard is set where a space is built, and everything derived from it
+(transformers into it, their p(t) and lift tables, and the monad laws)
+inherits that guard.
 
 Three families of functionals sit inside the full double exponential: the
 op-preserving ones (hom), the tag-relaxed ones, and the family generated
@@ -26,7 +28,7 @@ monad sitting inside the continuation monad.
 
 from __future__ import annotations
 
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 from .algebra import (
     FinAlgebra,
@@ -64,8 +66,7 @@ class FunctionalSpace:
         self._hom = None
         self._relaxed = None
         self._free = None
-        # Kleisli composites into this space, one per (source, table)
-        self._composites = {}
+        self._transformers = {}
 
     def functional(self, i: int) -> MonoMap:
         return self.space.maps[i]
@@ -99,11 +100,20 @@ class FunctionalSpace:
             self._free = generated_subalgebra(self.func_algebra, self.delta_indices)
         return self._free
 
-    @cached_property
+    def transformer(self, source: FinPoset, table) -> "StateTransformer":
+        """The state transformer from ``source`` into this space with this
+        table of functional indices: one object per (source, table), its
+        table validated as a monotone map when it is first built."""
+        key = (source, tuple(table))
+        t = self._transformers.get(key)
+        if t is None:
+            t = self._transformers[key] = StateTransformer(source, self, key[1])
+        return t
+
+    @property
     def unit(self) -> "StateTransformer":
-        """The unit X -> [[X -> R] -> R] as a state transformer, built once
-        so that its p(t) is computed once."""
-        return StateTransformer(self.x, self, self.delta_indices)
+        """The unit X -> [[X -> R] -> R] as a state transformer."""
+        return self.transformer(self.x, self.delta_indices)
 
     def family_poset(self, indices) -> FinPoset:
         return sub_poset(self.space.poset, indices)
@@ -136,23 +146,11 @@ def delta(x: FinPoset, algebra: FinAlgebra, size_guard: int = DEFAULT_SIZE_GUARD
     return [space.delta(i) for i in range(x.size)]
 
 
-def hom_functionals(x, algebra, size_guard: int = DEFAULT_SIZE_GUARD):
-    space = functional_space(x, algebra, size_guard)
-    return [space.functional(i) for i in space.hom_indices]
-
-
-def relaxed_functionals(x, algebra, size_guard: int = DEFAULT_SIZE_GUARD):
-    space = functional_space(x, algebra, size_guard)
-    return [space.functional(i) for i in space.relaxed_indices]
-
-
-def free_functionals(x, algebra, size_guard: int = DEFAULT_SIZE_GUARD):
-    space = functional_space(x, algebra, size_guard)
-    return [space.functional(i) for i in space.free_indices]
-
-
 class StateTransformer:
-    """A monotone assignment of a functional over [Y -> R] to every x in X."""
+    """A monotone assignment of a functional over [Y -> R] to every x in X.
+
+    Made by the target space's ``transformer``, which keeps one per
+    (source, table)."""
 
     def __init__(self, source: FinPoset, space: FunctionalSpace, table):
         self.source = source
@@ -232,12 +230,6 @@ class PredicateTransformer:
         )
 
 
-def delta_transformer(x: FinPoset, algebra: FinAlgebra, size_guard: int = DEFAULT_SIZE_GUARD) -> StateTransformer:
-    """The unit as a state transformer X -> [[X -> R] -> R]; the same object
-    on every call for one space."""
-    return functional_space(x, algebra, size_guard).unit
-
-
 def kleisli_lift(t: StateTransformer, phi: MonoMap) -> MonoMap:
     """lift(t)(phi) = phi . p(t): the functional g |-> phi(x |-> t(x)(g))."""
     p = t.predicate_transformer()
@@ -273,7 +265,7 @@ def q_transform(s: PredicateTransformer) -> StateTransformer:
     """Predicate to state transformer: x |-> (g |-> s(g)(x))."""
     predicates = [s.x_space.predicates.maps[k].table for k in s.table]
     table = _transpose(predicates, s.x_space.x.size, s.y_space.space, "resulting functional is not monotone")
-    return StateTransformer(s.x_space.x, s.y_space, table)
+    return s.y_space.transformer(s.x_space.x, table)
 
 
 def all_state_transformers(x: FinPoset, target: FunctionalSpace, indices=None):
@@ -281,13 +273,10 @@ def all_state_transformers(x: FinPoset, target: FunctionalSpace, indices=None):
     enumerated under the space's guard."""
     if indices is None:
         expo = enumerate_monotone(x, target.space.poset, target.size_guard)
-        return [StateTransformer(x, target, m.table) for m in expo.maps]
+        return [target.transformer(x, m.table) for m in expo.maps]
     family = target.family_poset(indices)
     expo = enumerate_monotone(x, family, target.size_guard)
-    return [
-        StateTransformer(x, target, tuple(indices[v] for v in m.table))
-        for m in expo.maps
-    ]
+    return [target.transformer(x, (indices[v] for v in m.table)) for m in expo.maps]
 
 
 def all_predicate_transformers(y_space: FunctionalSpace, x_space: FunctionalSpace):
@@ -296,19 +285,10 @@ def all_predicate_transformers(y_space: FunctionalSpace, x_space: FunctionalSpac
 
 
 def compose_transformers(t: StateTransformer, r: StateTransformer) -> StateTransformer:
-    """The Kleisli composite x |-> lift(r)(t(x)), read off r's kept lift table.
-
-    The target space keeps one composite per (source, table), so equal
-    composites are one object and build their p(t) and lift table once."""
+    """The Kleisli composite x |-> lift(r)(t(x)), read off r's kept lift table."""
     if t.space.predicates.poset != r.predicate_transformer().x_space.predicates.poset:
         raise TypeMismatch("the first transformer's target is not the second's source")
-    lifts = r.lift_table()
-    table = tuple(lifts[k] for k in t.table)
-    kept = r.space._composites
-    rt = kept.get((t.source, table))
-    if rt is None:
-        rt = kept[t.source, table] = StateTransformer(t.source, r.space, table)
-    return rt
+    return r.space.transformer(t.source, map(r.lift_table().__getitem__, t.table))
 
 
 def check_monad_laws(x, y, z, algebra, t: StateTransformer, r: StateTransformer):

@@ -256,10 +256,6 @@ def dirac(poset: FinPoset, point: int) -> SimpleValuation:
     return SimpleValuation(poset, ((ONE, point),))
 
 
-def eval_valuation(mu: SimpleValuation, f: Predicate) -> ExtNN:
-    return mu(f)
-
-
 def cone_combine(a: ExtNN, mu: SimpleValuation, b: ExtNN, nu: SimpleValuation) -> SimpleValuation:
     """Canonical form of a*mu + b*nu."""
     return mu.scale(a).add(nu.scale(b))
@@ -572,16 +568,6 @@ def check_linear_side(phi, side: LinearSide, trials: int = DEFAULT_TRIALS, seed:
         ),
     ]
     return CheckOutcome.composite(side.name, checks, SAMPLED)
-
-
-def check_sublinear(phi, trials: int = DEFAULT_TRIALS, seed: int = 42, size_guard: int = DEFAULT_SIZE_GUARD) -> CheckOutcome:
-    """Homogeneity, zero at zero, subadditivity, and join domination."""
-    return check_linear_side(phi, SUBLINEAR, trials, seed, size_guard)
-
-
-def check_superlinear(phi, trials: int = DEFAULT_TRIALS, seed: int = 42, size_guard: int = DEFAULT_SIZE_GUARD) -> CheckOutcome:
-    """Homogeneity, zero at zero, superadditivity, and meet domination."""
-    return check_linear_side(phi, SUPERLINEAR, trials, seed, size_guard)
 
 
 def domination_check(mu: SimpleValuation, phi, trials: int = DEFAULT_TRIALS, seed: int = 42, size_guard: int = DEFAULT_SIZE_GUARD) -> CheckOutcome:

@@ -521,7 +521,7 @@ def check_valuations(cfg: SuiteConfig):
     def cone_failures():
         for name, poset, vals, chis in inputs:
             rng = cfg.rng(f"valuation.cone.{name}")
-            scalars = (list(SCALAR_GRID) + [random_extnn(rng) for _ in range(20)])[:10]
+            scalars = list(SCALAR_GRID) + [random_extnn(rng) for _ in range(10 - len(SCALAR_GRID))]
             pairs = list(itertools.product(scalars, repeat=2))
             vals = vals[:5]
             scaled = {}  # c mu once per (mu, c), for the scalars, their sums and products

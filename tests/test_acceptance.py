@@ -38,8 +38,8 @@ from powdom.monad import (
 )
 from powdom.poset import all_down_sets, all_up_sets, sub_poset
 from powdom.powerdomain import (
-    check_sublinear,
-    check_superlinear,
+    ENVELOPES,
+    check_linear_side,
     chi,
     hoare_powerdomain,
     non_integer_witness,
@@ -268,12 +268,10 @@ def test_criterion_10_mixed_powerdomains():
 
         for name in ("C2", "A2", "chain3"):
             poset = POSETS[name]
-            for phi in catalog.catalog_subfns(poset, cap=4):
-                report = check_sublinear(phi, trials=10_000, seed=SEED)
-                assert report.passed, report.as_record()
-            for phi in catalog.catalog_supfns(poset, cap=4):
-                report = check_superlinear(phi, trials=10_000, seed=SEED)
-                assert report.passed, report.as_record()
+            for envelope in ENVELOPES:
+                for phi in catalog.catalog_envelopes(poset, envelope, cap=4):
+                    report = check_linear_side(phi, envelope.side, trials=10_000, seed=SEED)
+                    assert report.passed, report.as_record()
 
         witness = non_integer_witness(
             POSETS["C2"], 0, ExtNN(Fraction(1, 2)), ALGS["rplus"], trials=2000, seed=SEED

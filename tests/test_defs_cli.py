@@ -14,7 +14,7 @@ from powdom.cli import build_parser, main
 from powdom.defs import Workspace, load_workspace, transformer_literal
 from powdom.errors import ParseError, PowdomError, UnknownName
 from powdom.extnum import ExtNN
-from powdom.monad import p_transform, q_transform
+from powdom.monad import all_state_transformers, functional_space, p_transform, q_transform
 
 SAMPLE = """
 # definitions exercising every statement kind
@@ -75,6 +75,12 @@ class TestParser:
         assert ws.functional("phi").components
         assert ws.predicates["f"].values[1] == ExtNN(2)
         assert ws.transformer("t").source.labels == ("bot", "top")
+
+    def test_parsed_transformer_is_the_enumerated_one(self, sample_path):
+        t = load_workspace([sample_path]).transformer("t")
+        space = functional_space(t.source, catalog.builtin_algebras()["2_ang"])
+        assert t.space is space
+        assert [s for s in all_state_transformers(t.source, space) if s is t]
 
     def test_scale_builtin_uses_fixed_factor(self, sample_path):
         ws = load_workspace([sample_path])
@@ -431,6 +437,23 @@ def test_non_monotone_transformer_names_the_cover(tmp_path, statement, message):
     with pytest.raises(ParseError) as err:
         load_workspace([str(defs)])
     assert str(err.value) == f"{defs}:1: {message}"
+
+
+@pytest.mark.parametrize("option", ["--json", "--dot"])
+def test_output_paths_stay_out_of_the_report(tmp_path, capsys, option):
+    # split, joined by =, and abbreviated to a unique prefix, both ways
+    spellings = ([option, "{}"], [option + "={}"], [option[:4], "{}"], [option[:4] + "={}"])
+    reports = []
+    for k, spelling in enumerate(spellings):
+        out = tmp_path / f"out{k}"
+        assert main(["export-dot", "C2"] + [s.format(out) for s in spelling]) == 0
+        printed = capsys.readouterr().out
+        written = out.read_text(encoding="utf-8")
+        reports.append(written if option == "--json" else printed)
+        if option == "--dot":
+            assert written.startswith("digraph")
+    assert len(set(reports)) == 1
+    assert json.loads(reports[0])["command"] == "export-dot C2"
 
 
 def test_commands_in_one_process_share_a_parser_but_no_arguments(sample_path, capsys):

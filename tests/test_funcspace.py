@@ -7,7 +7,6 @@ from powdom.errors import NotMonotone, SizeGuardExceeded, TypeMismatch
 from powdom.funcspace import (
     MonoMap,
     compose,
-    constant_map,
     enumerate_monotone,
     identity_map,
     precompose,
@@ -86,7 +85,7 @@ class TestComposition:
 
     def test_constant_absorption(self):
         c2, chain3 = POSETS["C2"], POSETS["chain3"]
-        const = constant_map(c2, chain3, 1)
+        const = MonoMap(c2, chain3, (1,) * c2.size)
         for v in enumerate_monotone(chain3, TWO).maps:
             assert compose(const, v).table == (v.table[1],) * c2.size
 
@@ -145,7 +144,7 @@ class TestPrecompose:
     def test_constant_predicate(self):
         a2, c2 = POSETS["A2"], POSETS["C2"]
         u = MonoMap(a2, c2, (0, 1))
-        g = constant_map(c2, TWO, 1)
+        g = MonoMap(c2, TWO, (1,) * c2.size)
         assert precompose(u, g).table == (1, 1)
 
     def test_table_composition(self):

@@ -1,8 +1,9 @@
 import itertools
+from functools import lru_cache
 
 import pytest
 
-from powdom import catalog
+from powdom import catalog, monad
 from powdom.algebra import FinAlgebra, OpSpec, OpTag, Signature, is_homomorphism
 from powdom.errors import NotMonotone, SizeGuardExceeded, TypeMismatch
 from powdom.funcspace import MonoMap, compose, enumerate_monotone, identity_map
@@ -14,15 +15,11 @@ from powdom.monad import (
     check_monad_laws,
     compose_transformers,
     delta,
-    delta_transformer,
-    free_functionals,
     functional_space,
     functor_action,
-    hom_functionals,
     kleisli_lift,
     p_transform,
     q_transform,
-    relaxed_functionals,
 )
 from powdom.poset import FinPoset, is_order_iso, set_inclusion_poset, all_down_sets
 
@@ -69,7 +66,7 @@ class TestDelta:
 class TestKleisli:
     def test_lift_of_unit_is_identity(self):
         space = functional_space(POSETS["C2"], ALGS["2_ang"])
-        unit = delta_transformer(POSETS["C2"], ALGS["2_ang"])
+        unit = space.unit
         for phi in space.space.maps:
             assert kleisli_lift(unit, phi).table == phi.table
 
@@ -88,7 +85,7 @@ class TestKleisli:
         r = ALGS["2_ang"]
         xs = functional_space(x, r)
         psi = xs.space.maps[0]
-        t = StateTransformer(x, xs, (0,) * x.size)
+        t = xs.transformer(x, (0,) * x.size)
         for phi in xs.space.maps:
             lifted = kleisli_lift(t, phi)
             for g in range(len(xs.predicates)):
@@ -118,6 +115,15 @@ def pointwise_lift(t, phi):
 
 LIFT_ALGEBRAS = [ALGS["2_ang"], ALGS["2_dem"], tagged_two_ang(OpTag.LE)]
 SMALL = ["one", "C2", "A2"]
+
+
+@pytest.fixture
+def cold_spaces(monkeypatch):
+    """An empty functional_space cache for one test, so what the test counts
+    does not depend on what earlier tests built; the shared cache returns
+    after it."""
+    fresh = lru_cache(maxsize=None)(monad._functional_space.__wrapped__)
+    monkeypatch.setattr(monad, "_functional_space", fresh)
 
 
 class TestLiftIsPrecomposition:
@@ -170,7 +176,7 @@ class TestLiftIsPrecomposition:
         # source's spaces refuses
         r = ALGS["2_ang"]
         x = POSETS["A2"]
-        t = StateTransformer(x, functional_space(POSETS["one"], r, 8), (0, 0))
+        t = functional_space(POSETS["one"], r, 8).transformer(x, (0, 0))
         into_a2 = all_state_transformers(POSETS["one"], functional_space(x, r))[0]
         phi = functional_space(x, r).space.maps[0]
         for derived in (
@@ -189,10 +195,10 @@ class TestLiftIsPrecomposition:
         # with a guard of 8 skip the build of A2's spaces under its own guard
         r = ALGS["2_ang"]
         x = POSETS["A2"]
-        t = delta_transformer(x, r)
+        t = functional_space(x, r).unit
         phi = functional_space(x, r).space.maps[0]
         assert kleisli_lift(t, phi).table == phi.table
-        small = StateTransformer(x, functional_space(POSETS["one"], r, 8), (0, 0))
+        small = functional_space(POSETS["one"], r, 8).transformer(x, (0, 0))
         for _ in range(2):
             with pytest.raises(SizeGuardExceeded):
                 kleisli_lift(small, phi)
@@ -238,7 +244,7 @@ class TestFunctorAction:
         r = ALGS["2_ang"]
         xs, ys = functional_space(x, r), functional_space(y, r)
         for u in enumerate_monotone(x, y).maps:
-            t = StateTransformer(x, ys, tuple(ys.delta_indices[u.table[i]] for i in range(x.size)))
+            t = ys.transformer(x, (ys.delta_indices[u.table[i]] for i in range(x.size)))
             for phi in xs.space.maps:
                 assert functor_action(u, phi, r).table == kleisli_lift(t, phi).table
 
@@ -249,9 +255,7 @@ class TestTransformers:
         r = ALGS["2_ang"]
         xs, ys = functional_space(x, r), functional_space(y, r)
         for u in enumerate_monotone(x, y).maps:
-            t = StateTransformer(
-                x, ys, tuple(ys.delta_indices[u.table[i]] for i in range(x.size))
-            )
+            t = ys.transformer(x, (ys.delta_indices[u.table[i]] for i in range(x.size)))
             s = p_transform(t)
             for g_idx, g in enumerate(ys.predicates.maps):
                 pulled = tuple(g.table[u.table[i]] for i in range(x.size))
@@ -265,7 +269,7 @@ class TestTransformers:
         s = next(
             s for s in ident if s.table == tuple(range(len(xs.predicates)))
         )
-        assert q_transform(s) == delta_transformer(x, r)
+        assert q_transform(s) is xs.unit
 
     @pytest.mark.parametrize("xn", ["one", "C2", "A2"])
     @pytest.mark.parametrize("yn", ["one", "C2", "A2"])
@@ -274,7 +278,7 @@ class TestTransformers:
         r = ALGS["2_ang"]
         xs, ys = functional_space(x, r), functional_space(y, r)
         for t in all_state_transformers(x, ys):
-            assert q_transform(p_transform(t)) == t
+            assert q_transform(p_transform(t)) is t
         for s in all_predicate_transformers(ys, xs):
             assert p_transform(q_transform(s)) == s
 
@@ -293,7 +297,7 @@ class TestTransformers:
             ts = all_state_transformers(x, target)
             assert ts
             for t in ts:
-                assert q_transform(p_transform(t)) == t
+                assert q_transform(p_transform(t)) is t
             for s in all_predicate_transformers(target, xs):
                 assert p_transform(q_transform(s)) == s
 
@@ -317,10 +321,9 @@ class TestTransformers:
 
 class TestFamilies:
     def test_hoare_functionals_count(self):
-        homs = hom_functionals(POSETS["C2"], ALGS["2_ang"])
-        assert len(homs) == 3
-        downs = all_down_sets(POSETS["C2"])
         space = functional_space(POSETS["C2"], ALGS["2_ang"])
+        assert len(space.hom_indices) == 3
+        downs = all_down_sets(POSETS["C2"])
         assert is_order_iso(
             set_inclusion_poset(downs),
             space.family_poset(space.hom_indices),
@@ -328,7 +331,7 @@ class TestFamilies:
         )
 
     def test_antichain_counts(self):
-        assert len(hom_functionals(POSETS["A2"], ALGS["2_ang"])) == 4
+        assert len(functional_space(POSETS["A2"], ALGS["2_ang"]).hom_indices) == 4
 
     def test_point_evaluations_always_inside(self):
         for aname in ("2_ang", "2_dem", "lattice2"):
@@ -358,9 +361,8 @@ class TestFamilies:
             assert set(space.delta_indices) <= set(space.relaxed_indices)
 
     def test_free_on_chain(self):
-        frees = free_functionals(POSETS["C2"], ALGS["2_ang"])
-        homs = hom_functionals(POSETS["C2"], ALGS["2_ang"])
-        assert {f.table for f in frees} == {h.table for h in homs}
+        space = functional_space(POSETS["C2"], ALGS["2_ang"])
+        assert set(space.free_indices) == set(space.hom_indices)
 
     def test_free_on_antichain(self):
         space = functional_space(POSETS["A2"], ALGS["2_ang"])
@@ -370,14 +372,13 @@ class TestFamilies:
         assert frees == set(space.delta_indices) | {zero, join_of_deltas}
 
     def test_free_on_singleton(self):
-        assert len(free_functionals(POSETS["one"], ALGS["2_ang"])) == 2
+        assert len(functional_space(POSETS["one"], ALGS["2_ang"]).free_indices) == 2
 
     def test_relaxed_superset_of_hom(self):
         for tag in (OpTag.LE, OpTag.GE):
             for pname in ("C2", "A2", "vee"):
                 space = functional_space(POSETS[pname], tagged_two_ang(tag))
                 assert set(space.hom_indices) <= set(space.relaxed_indices)
-                assert set(relaxed_functionals(POSETS[pname], tagged_two_ang(tag))) >= set()
 
 
 class TestMonadLaws:
@@ -471,15 +472,15 @@ class TestTransformerValidation:
 
     def test_state_transformer_table_is_a_monotone_map(self):
         for m in enumerate_monotone(POSETS["C2"], self.c2.space.poset).maps:
-            assert StateTransformer(POSETS["C2"], self.c2, m.table).table == m.table
+            assert self.c2.transformer(POSETS["C2"], m.table).table == m.table
         # bot to the evaluation at top and top to the evaluation at bot
         swapped = tuple(reversed(self.c2.delta_indices))
         with pytest.raises(NotMonotone):
-            StateTransformer(POSETS["C2"], self.c2, swapped)
+            self.c2.transformer(POSETS["C2"], swapped)
         with pytest.raises(TypeMismatch):
-            StateTransformer(POSETS["C2"], self.c2, (0, len(self.c2.space)))
+            self.c2.transformer(POSETS["C2"], (0, len(self.c2.space)))
         with pytest.raises(TypeMismatch):
-            StateTransformer(POSETS["C2"], self.c2, (0,))
+            self.c2.transformer(POSETS["C2"], (0,))
 
     def test_predicate_transformer_table_is_a_monotone_map(self):
         preds = self.c2.predicates.poset
@@ -502,8 +503,10 @@ class TestTransformerValidation:
 
 def test_delta_transformer_is_one_object_per_space():
     x, r = POSETS["A2"], ALGS["2_dem"]
-    assert delta_transformer(x, r) is delta_transformer(x, r)
-    assert delta_transformer(x, r) is functional_space(x, r).unit
+    space = functional_space(x, r)
+    assert functional_space(x, r).unit is space.unit
+    assert space.transformer(x, space.delta_indices) is space.unit
+    assert [t for t in all_state_transformers(x, space) if t is space.unit]
 
 
 def test_monad_laws_suite_builds_each_unit_p_once(monkeypatch):
@@ -596,7 +599,7 @@ class TestKeptLiftTable:
         kept = all_state_transformers(x, functional_space(POSETS["one"], r))[0]
         table = kept.lift_table()
         # the same table from A2, but into a space built under a guard of 8
-        small = StateTransformer(x, functional_space(POSETS["one"], r, 8), kept.table)
+        small = functional_space(POSETS["one"], r, 8).transformer(x, kept.table)
         into_a2 = all_state_transformers(POSETS["C2"], xs)[2]
         for _ in range(2):
             with pytest.raises(SizeGuardExceeded):
@@ -621,8 +624,8 @@ class TestKeptLiftTable:
         with pytest.raises(TypeMismatch):
             compose_transformers(from_c2, from_c2)
 
-    def test_monad_laws_suite_lifts_each_pair_once(self, monkeypatch):
-        from powdom import monad, verify
+    def test_monad_laws_suite_lifts_each_pair_once(self, cold_spaces, monkeypatch):
+        from powdom import verify
 
         lifted = {}
         kept = []  # discarded composites would hand their ids on
@@ -681,12 +684,11 @@ class TestKeptComposites:
         assert len(tables) < len(composites)
         assert all(builds.get(id(rt), 0) <= 1 for rt in composites)
 
-    def test_monad_laws_suite_builds_few_lift_tables(self, monkeypatch):
+    def test_monad_laws_suite_builds_few_lift_tables(self, cold_spaces, monkeypatch):
         from powdom import verify
 
-        # counted as calls that find no kept table: 446 at a cold start, one
-        # per distinct transformer enumerated plus one per distinct composite
-        # (10,418 when each composite was a new object)
+        # counted as calls that find no kept table: one per distinct
+        # transformer, enumerated or composed, 220 in all
         built = []
         real_lifts = StateTransformer.lift_table
 
@@ -698,7 +700,7 @@ class TestKeptComposites:
         monkeypatch.setattr(StateTransformer, "lift_table", spy)
         cfg = verify.SuiteConfig(seed=42, trials=100, catalog_max=2)
         assert all(c.passed for c in verify.check_monad_laws_suite(cfg))
-        assert len(built) <= 446
+        assert len(built) <= 220
 
     def test_composites_stay_on_the_space_of_their_guard(self):
         r = ALGS["2_ang"]
@@ -708,7 +710,7 @@ class TestKeptComposites:
         assert narrow is not wide
         t = all_state_transformers(one, wide)[1]
         r_wide = all_state_transformers(one, wide)[2]
-        r_narrow = StateTransformer(one, narrow, r_wide.table)
+        r_narrow = narrow.transformer(one, r_wide.table)
         kept = compose_transformers(t, r_wide)
         composite = compose_transformers(t, r_narrow)
         assert composite.table == kept.table
@@ -716,3 +718,44 @@ class TestKeptComposites:
         assert composite.space is narrow and kept.space is wide
         assert compose_transformers(t, r_narrow) is composite
         assert compose_transformers(t, r_wide) is kept
+
+
+class TestOneConstructor:
+    """The target space makes every transformer into it, one per (source,
+    table), whichever way the transformer is reached."""
+
+    @pytest.mark.parametrize("r", LIFT_ALGEBRAS, ids=lambda r: r.name)
+    def test_enumerated_transformers_are_the_composites(self, r):
+        x, y = POSETS["A2"], POSETS["C2"]
+        ys = functional_space(y, r)
+        enumerated = {t.table: t for t in all_state_transformers(x, ys)}
+        for t in all_state_transformers(x, ys):
+            for rr in all_state_transformers(y, ys):
+                rt = compose_transformers(t, rr)
+                assert enumerated[rt.table] is rt
+        for t in all_state_transformers(x, ys, ys.hom_indices):
+            assert enumerated[t.table] is t
+
+    def test_failed_build_keeps_nothing(self):
+        c2 = POSETS["C2"]
+        space = functional_space(c2, ALGS["2_ang"])
+        swapped = tuple(reversed(space.delta_indices))
+        for _ in range(2):
+            with pytest.raises(NotMonotone):
+                space.transformer(c2, swapped)
+        assert (c2, swapped) not in space._transformers
+
+    def test_suite_builds_one_lift_table_per_transformer(self, cold_spaces, monkeypatch):
+        from powdom import verify
+
+        built = []
+        real_lifts = StateTransformer.lift_table
+
+        def spy(self):
+            if self._lifts is None:
+                built.append(self)
+            return real_lifts(self)
+
+        monkeypatch.setattr(StateTransformer, "lift_table", spy)
+        assert verify.run_suite(verify.SuiteConfig(seed=42, trials=100, catalog_max=2)).passed
+        assert len(built) <= 220

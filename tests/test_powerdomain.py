@@ -11,15 +11,15 @@ from powdom.powerdomain import (
     Predicate,
     SimpleValuation,
     SubFn,
+    SUBLINEAR,
+    SUPERLINEAR,
     SupFn,
-    check_sublinear,
-    check_superlinear,
+    check_linear_side,
     chi,
     cone_combine,
     constant_predicate,
     dirac,
     domination_check,
-    eval_valuation,
     hoare_powerdomain,
     non_integer_witness,
     pred_add,
@@ -115,7 +115,7 @@ class TestValuations:
     def test_weighted_evaluation(self):
         mu = SimpleValuation(C2, ((HALF, 0), (THIRD, 1)))
         f = Predicate(C2, (ExtNN(1), ExtNN(2)))
-        assert eval_valuation(mu, f) == ExtNN(Fraction(7, 6))
+        assert mu(f) == ExtNN(Fraction(7, 6))
 
     def test_dirac_is_evaluation(self):
         f = Predicate(C2, (HALF, ExtNN(3)))
@@ -216,19 +216,19 @@ class TestSubSupFns:
 class TestSublinearity:
     @pytest.mark.parametrize("pname", ["C2", "A2"])
     def test_subfns_pass(self, pname):
-        for phi in catalog.catalog_subfns(POSETS[pname], cap=4):
-            report = check_sublinear(phi, trials=300, seed=42)
+        for phi in catalog.catalog_envelopes(POSETS[pname], SubFn, cap=4):
+            report = check_linear_side(phi, SUBLINEAR, trials=300, seed=42)
             assert report.passed, report.as_record()
 
     @pytest.mark.parametrize("pname", ["C2", "A2"])
     def test_supfns_pass(self, pname):
-        for phi in catalog.catalog_supfns(POSETS[pname], cap=4):
-            report = check_superlinear(phi, trials=300, seed=42)
+        for phi in catalog.catalog_envelopes(POSETS[pname], SupFn, cap=4):
+            report = check_linear_side(phi, SUPERLINEAR, trials=300, seed=42)
             assert report.passed, report.as_record()
 
     def test_min_of_diracs_fails_subadditivity(self):
         psi = SupFn((dirac(A2, 0), dirac(A2, 1)))
-        report = check_sublinear(psi, trials=50, seed=42)
+        report = check_linear_side(psi, SUBLINEAR, trials=50, seed=42)
         failed = {c.name for c in report.checks if not c.passed}
         assert "subadditive" in failed
 
@@ -331,7 +331,7 @@ class TestHoareSmythDuality:
 
 def test_max_of_diracs_fails_superadditivity():
     phi = SubFn((dirac(A2, 0), dirac(A2, 1)))
-    report = check_superlinear(phi, trials=50, seed=42)
+    report = check_linear_side(phi, SUPERLINEAR, trials=50, seed=42)
     failed = [c for c in report.checks if not c.passed]
     assert "superadditive" in {c.name for c in failed}
     assert all(c.witness for c in failed)

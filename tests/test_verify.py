@@ -8,7 +8,7 @@ from powdom.algebra import CheckOutcome
 from powdom.extnum import INF, ExtNN, ONE, ZERO
 from powdom.funcspace import enumerate_monotone
 from powdom.monad import StateTransformer, all_state_transformers, check_monad_laws, functional_space
-from powdom.powerdomain import SUBLINEAR, Envelope, SubFn, check_linear_side
+from powdom.powerdomain import ENVELOPES, SUBLINEAR, Envelope, SubFn, check_linear_side
 from powdom.report import Report
 from powdom.verify import SUITE, SuiteConfig, run_suite
 
@@ -106,8 +106,9 @@ def test_mixed_functionals_draw_distinct_streams(monkeypatch):
     checks = verify_mod.check_mixed(cfg)
     assert all(c.passed for c in checks)
     expected = sum(
-        len(catalog.catalog_subfns(p, cap=6)) + len(catalog.catalog_supfns(p, cap=6))
+        len(catalog.catalog_envelopes(p, envelope, cap=6))
         for p in cfg.posets().values()
+        for envelope in ENVELOPES
     )
     assert len(seeds) == expected
     assert len(set(seeds)) == len(seeds)
@@ -231,7 +232,7 @@ def test_transformer_correspondence_witness_names_the_unmatched_transformer(monk
     }
     assert record(checks, "monad.transformer-correspondence.2_dem").passed
     # replay: the unit's p(t) is an image of the relaxed family, yet rejected
-    unit = monad.delta_transformer(c2_space.x, algebra)
+    unit = c2_space.unit
     assert unit.predicate_transformer().table == identity
     s = unit.predicate_transformer()
     assert not faulty(s.as_map(), c2_space.pred_algebra, c2_space.pred_algebra).passed
