@@ -394,7 +394,9 @@ def _interchange_check(algebra, sigma: str, omega: str, relation, rng=None, tria
             for o_param in algebra.grid_params(omega):
                 for flat in algebra.grid_tuples(n * m):
                     yield tuple(flat[i * m : (i + 1) * m] for i in range(n)), s_param, o_param
-        if algebra.mode == SAMPLED and rng is not None:
+        # an empty matrix without parameters draws nothing to sample
+        drawn = n * m or s_spec.parametric or o_spec.parametric
+        if algebra.mode == SAMPLED and rng is not None and drawn:
             for _ in range(trials):
                 matrix = tuple(algebra.sample_tuple(m, rng) for _ in range(n))
                 yield matrix, algebra.sample_param(sigma, rng), algebra.sample_param(omega, rng)
@@ -479,7 +481,8 @@ def _morphism_check(phi, b, r, relation_for, rng, trials, name) -> CheckOutcome:
             for param in b.grid_params(op.symbol):
                 for args in b.grid_tuples(op.arity):
                     yield op, relation, args, param
-            if b.mode == SAMPLED and rng is not None:
+            # a nullary op without a parameter draws nothing to sample
+            if b.mode == SAMPLED and rng is not None and (op.arity or op.parametric):
                 for _ in range(trials):
                     args = b.sample_tuple(op.arity, rng)
                     yield op, relation, args, b.sample_param(op.symbol, rng)
@@ -497,10 +500,15 @@ def is_homomorphism(phi, b, r, rng=None, trials=0) -> CheckOutcome:
     return _morphism_check(phi, b, r, lambda op: "eq", rng, trials, "homomorphism")
 
 
-def is_relaxed_morphism(phi, b, r, rng=None, trials=0) -> CheckOutcome:
-    """Morphism check with the tagged relaxations: <= for LE ops, >= for GE."""
+def is_relaxed_morphism(phi, b, r, rng=None, trials=0, symbol=None) -> CheckOutcome:
+    """Morphism check with the tagged relaxations: <= for LE ops, >= for GE.
+
+    With ``symbol``, only that op is checked.
+    """
 
     def relation_for(op):
+        if symbol is not None and op.symbol != symbol:
+            return None
         return {OpTag.LE: "le", OpTag.GE: "ge", OpTag.EQ: "eq"}[op.tag]
 
     return _morphism_check(phi, b, r, relation_for, rng, trials, "relaxed-morphism")

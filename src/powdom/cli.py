@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import itertools
-import os
 import sys
 import time
 from functools import cache
@@ -27,13 +26,7 @@ from .algebra import (
 )
 from .catalog import catalog_valuations
 from .defs import load_workspace, ptransformer_literal, transformer_literal
-from .errors import (
-    ParseError,
-    PowdomError,
-    RejectInteger,
-    SizeGuardExceeded,
-    UnknownName,
-)
+from .errors import PowdomError, SizeGuardExceeded, UnknownName
 from .monad import functional_space, p_transform, q_transform
 from .powerdomain import (
     SET_POWERDOMAINS,
@@ -314,12 +307,6 @@ def _command_echo(argv) -> str:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if "POWDOM_SEED" in os.environ:
-        try:
-            args.seed = int(os.environ["POWDOM_SEED"])
-        except ValueError:
-            print("POWDOM_SEED must be an integer", file=sys.stderr)
-            return 2
     if args.cmd == "verify-suite" and args.catalog_max < MIN_CATALOG_MAX:
         print(f"error: --catalog-max must be at least {MIN_CATALOG_MAX}", file=sys.stderr)
         return 2
@@ -358,13 +345,7 @@ def main(argv=None) -> int:
     except SizeGuardExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ParseError, UnknownName, RejectInteger) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except PowdomError as exc:
+    except (PowdomError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -5,7 +5,10 @@ the two-element observation algebras and are cross-checked here against
 their set-based presentations (down-sets, up-sets).  The probabilistic and
 mixed constructions live over the extended nonnegative rationals: simple
 valuations are finite weighted sums of point evaluations, and the mixed
-angelic/demonic functionals are finite maxima/minima of those.
+angelic/demonic functionals are finite maxima/minima of those.  The laws of
+the two mixed sides are checked as tag-relaxed morphisms from the pointwise
+predicate algebra into the catalog's ``rplus_max`` (sublinear) or
+``rplus_min`` (superlinear), through the algebra layer's morphism walker.
 
 Ordering valuations is decidable here by a layer-cake argument: a monotone
 predicate on a finite poset is a positive combination of characteristic
@@ -20,7 +23,14 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, ClassVar
 
-from .algebra import CheckOutcome, FinAlgebra, first_failure, is_homomorphism
+from .algebra import (
+    CheckOutcome,
+    FinAlgebra,
+    OpTag,
+    first_failure,
+    is_homomorphism,
+    is_relaxed_morphism,
+)
 from .errors import RejectInteger, TypeMismatch
 from .extnum import ExtNN, ONE, ZERO, enn_dot, enn_max, enn_min, enn_sum
 from .monad import functional_space
@@ -83,16 +93,6 @@ def pred_add(f: Predicate, g: Predicate) -> Predicate:
     return Predicate(f.poset, tuple(a + b for a, b in zip(f.values, g.values)))
 
 
-def pred_sup(f: Predicate, g: Predicate) -> Predicate:
-    _same_poset(f, g)
-    return Predicate(f.poset, tuple(enn_max(a, b) for a, b in zip(f.values, g.values)))
-
-
-def pred_inf(f: Predicate, g: Predicate) -> Predicate:
-    _same_poset(f, g)
-    return Predicate(f.poset, tuple(enn_min(a, b) for a, b in zip(f.values, g.values)))
-
-
 def pred_scale(r: ExtNN, f: Predicate) -> Predicate:
     return Predicate(f.poset, tuple(r * v for v in f.values))
 
@@ -128,11 +128,9 @@ class PredAlgebra:
         self.chis = tuple(chi(u) for u in all_up_sets(poset, size_guard))
 
     def apply(self, symbol, args, param=None):
-        values = tuple(
-            self.base.apply(symbol, tuple(a.values[i] for a in args), param)
-            for i in range(self.poset.size)
-        )
-        return Predicate(self.poset, values)
+        base = self.base.apply
+        points = zip(*(a.values for a in args)) if args else [()] * self.poset.size
+        return Predicate(self.poset, tuple(base(symbol, p, param) for p in points))
 
     def leq(self, a, b) -> bool:
         return pred_leq(a, b)
@@ -164,32 +162,35 @@ class PredAlgebra:
 class LinearSide:
     """One side of the sublinear/superlinear pair.
 
-    ``below`` fixes the direction of the laws: the sublinear side is
-    subadditive (phi(f + g) <= phi(f) + phi(g)), dominates joins and lies
-    above its components; the superlinear side reverses all three.
+    The side's functionals are the tag-relaxed morphisms from the predicates
+    into its catalog ``algebra``: into ``rplus_max`` they are subadditive
+    (phi(f + g) <= phi(f) + phi(g)) and dominate joins; into ``rplus_min``
+    both laws reverse.  ``below`` orients the domination check: a valuation
+    lies below a sublinear envelope and above a superlinear one.
     """
 
     name: str  # law report name and prefix of the sampled stream labels
     keyword: str  # definition-file statement
     opener: str  # literal opener
     combine: Callable  # binary max or min of values
-    pred_combine: Callable  # pointwise max or min of predicates
     below: bool
-    additive: str  # name of the additivity check
-    lattice: str  # name of the join (sublinear) or meet (superlinear) check
-    lattice_label: str  # stream label suffix of that check
+    algebra: str  # catalog name of the side's tagged rational algebra
     domination: str  # name of the domination check of a valuation
 
 
-SUBLINEAR = LinearSide(
-    "sublinear", "subfn", "sup", enn_max, pred_sup, True,
-    "subadditive", "dominates-joins", "join", "dominated-by-max",
-)
-SUPERLINEAR = LinearSide(
-    "superlinear", "supfn", "inf", enn_min, pred_inf, False,
-    "superadditive", "below-meets", "meet", "dominates-min",
-)
+SUBLINEAR = LinearSide("sublinear", "subfn", "sup", enn_max, True, "rplus_max", "dominated-by-max")
+SUPERLINEAR = LinearSide("superlinear", "supfn", "inf", enn_min, False, "rplus_min", "dominates-min")
 SIDES = (SUBLINEAR, SUPERLINEAR)
+
+# the law that each tagged op of a side's algebra stands for, in check order;
+# the nullary ``zero`` is checked once, exactly, as zero-at-zero
+LINEAR_LAWS = {
+    ("scale", OpTag.EQ): "homogeneity",
+    ("add", OpTag.LE): "subadditive",
+    ("add", OpTag.GE): "superadditive",
+    ("max", OpTag.GE): "dominates-joins",
+    ("min", OpTag.LE): "below-meets",
+}
 
 
 def _oriented_leq(below: bool, a: ExtNN, b: ExtNN) -> bool:
@@ -511,62 +512,32 @@ def sobrification(x: FinPoset, frame_algebra: FinAlgebra, size_guard: int = DEFA
 # sublinear / superlinear law checks
 
 
-def _homogeneity_check(phi, chis, rng, trials):
-    # every scalar walks the same predicates, so the samples are drawn up front
-    preds = chis + [random_predicate(phi.poset, rng) for _ in range(trials)]
-    witnesses = (
-        {"r": str(r), "f": f.literal(), "lhs": str(lhs), "rhs": str(rhs)}
-        for r in SCALAR_GRID
-        for f in preds
-        if (lhs := phi(pred_scale(r, f))) != (rhs := r * phi(f))
-    )
-    return first_failure("homogeneity", witnesses, SAMPLED)
-
-
-def _pair_law_check(name, phi, chis, rng, trials, combine, combine_values, holds):
-    poset = phi.poset
-    samples = ((random_predicate(poset, rng), random_predicate(poset, rng)) for _ in range(trials))
-    witnesses = (
-        {"f": f.literal(), "g": g.literal(), "lhs": str(lhs), "rhs": str(rhs)}
-        for f, g in itertools.chain(itertools.product(chis, repeat=2), samples)
-        if not holds(lhs := phi(combine(f, g)), rhs := combine_values(phi(f), phi(g)))
-    )
-    return first_failure(name, witnesses, SAMPLED)
-
-
 def check_linear_side(phi, side: LinearSide, trials: int = DEFAULT_TRIALS, seed: int = 42, size_guard: int = DEFAULT_SIZE_GUARD) -> CheckOutcome:
-    """Homogeneity, zero at zero, and the side's additivity and lattice laws.
+    """Zero at zero, then each law of the side as a relaxed-morphism check.
 
-    The side is an argument, never read off ``phi``, so any functional can
-    be tested against either side.
+    ``phi`` is walked as a map from the predicates, ``PredAlgebra`` over the
+    side's algebra, into that algebra, one op at a time and each on its own
+    seeded stream: ``scale`` gives homogeneity, ``add`` the side's
+    additivity and ``max`` or ``min`` its lattice law.  The side is an
+    argument, never read off ``phi``, so any functional can be tested
+    against either side.
     """
-    poset = phi.poset
-    below = side.below
-    chis = [chi(u) for u in all_up_sets(poset, size_guard)]
-    checks = [
-        CheckOutcome("zero-at-zero", phi(constant_predicate(poset, ZERO)) == ZERO),
-        _homogeneity_check(phi, chis, task_rng(seed, f"{side.name}:homog"), max(trials // 10, 10)),
-        _pair_law_check(
-            side.additive,
-            phi,
-            chis,
-            task_rng(seed, f"{side.name}:add"),
-            trials,
-            pred_add,
-            lambda a, b: a + b,
-            lambda l, r: _oriented_leq(below, l, r),
-        ),
-        _pair_law_check(
-            side.lattice,
-            phi,
-            chis,
-            task_rng(seed, f"{side.name}:{side.lattice_label}"),
-            trials,
-            side.pred_combine,
-            side.combine,
-            lambda l, r: _oriented_leq(below, r, l),
-        ),
-    ]
+    from .catalog import builtin_algebras  # catalog imports this module
+
+    algebra = builtin_algebras()[side.algebra]
+    preds = PredAlgebra(algebra, phi.poset, size_guard)
+    ops = {(op.symbol, op.tag) for op in algebra.signature.ops}
+    checks = [CheckOutcome("zero-at-zero", phi(constant_predicate(phi.poset, ZERO)) == ZERO)]
+    for (symbol, tag), law in LINEAR_LAWS.items():
+        if (symbol, tag) not in ops:
+            continue
+        # homogeneity takes a tenth of the samples: its grid already crosses
+        # every scalar with every up-set
+        samples = max(trials // 10, 10) if symbol == "scale" else trials
+        rng = task_rng(seed, f"{side.name}:{symbol}")
+        check = is_relaxed_morphism(phi, preds, algebra, rng, samples, symbol)
+        check.name = law
+        checks.append(check)
     return CheckOutcome.composite(side.name, checks, SAMPLED)
 
 

@@ -520,3 +520,40 @@ def test_sampled_failure_draws_up_to_the_failing_sample_only():
     assert outcome.witness["op"] == "add"
     assert outcome.witness["args"] == [str(a), str(b)]
     assert rng.random() == reference.random()
+
+
+def test_sampled_phase_skips_instances_that_draw_nothing(monkeypatch):
+    # a nullary op, or an empty matrix, without a parameter is one grid
+    # instance; its sampled copies would repeat it without a draw
+    rplus = catalog.builtin_algebras()["rplus"]
+    calls = []
+    real_apply = RatAlgebra.apply
+
+    def counting(self, symbol, args, param=None):
+        calls.append(symbol)
+        return real_apply(self, symbol, args, param)
+
+    monkeypatch.setattr(RatAlgebra, "apply", counting)
+    rng = task_rng(7, "nothing-drawn")
+    assert commutes(rplus, "zero", "zero", rng, 500).passed
+    assert calls == ["zero", "zero"]
+    calls.clear()
+    assert is_relaxed_morphism(lambda x: x, rplus, rplus, rng, 500, "zero").passed
+    assert calls == ["zero", "zero"]
+    assert rng.random() == task_rng(7, "nothing-drawn").random()
+
+
+def test_relaxed_morphism_restricted_to_one_op():
+    rplus = catalog.builtin_algebras()["rplus"]
+
+    def top(x):  # additive, but sends zero to infinity
+        return INF
+
+    def square(x):  # keeps zero, but is not additive
+        return x * x
+
+    assert is_relaxed_morphism(top, rplus, rplus).witness["op"] == "zero"
+    assert is_relaxed_morphism(top, rplus, rplus, symbol="add").passed
+    assert not is_relaxed_morphism(top, rplus, rplus, symbol="zero").passed
+    assert is_relaxed_morphism(square, rplus, rplus, symbol="zero").passed
+    assert is_relaxed_morphism(square, rplus, rplus, symbol="add").witness["op"] == "add"

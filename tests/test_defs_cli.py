@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import shlex
@@ -154,7 +155,6 @@ class TestParser:
 
 def run_cli(args, env_extra=None):
     env = dict(os.environ)
-    env.pop("POWDOM_SEED", None)
     if env_extra:
         env.update(env_extra)
     proc = subprocess.run(
@@ -213,12 +213,15 @@ class TestCli:
         assert "bad.defs" in proc.stderr
 
     def test_env_seed_override(self):
-        proc = run_cli(
-            ["check", "--relaxed", "rplus_max", "--trials", "50", "--seed", "7"],
-            env_extra={"POWDOM_SEED": "99"},
-        )
-        data = json.loads(proc.stdout)
-        assert data["config"]["seed"] == 99
+        # the seed comes from the command line only; no environment variable
+        # changes a report
+        argv = ["check", "--relaxed", "rplus_max", "--trials", "50", "--seed", "7"]
+        plain = run_cli(argv)
+        proc = run_cli(argv, env_extra={"POWDOM_SEED": "99"})
+        assert proc.returncode == plain.returncode == 0
+        assert json.loads(proc.stdout)["config"]["seed"] == 7
+        assert proc.stdout == plain.stdout
+        assert run_cli(argv, env_extra={"POWDOM_SEED": "x"}).stdout == plain.stdout
 
     def test_powerdomain_hoare(self, tmp_path):
         dot = tmp_path / "h.dot"
@@ -364,6 +367,25 @@ def test_transformer_prints_its_own_algebra_name(tmp_path, capsys):
     assert result.splitlines()[0] == "ptransformer tl_p : C2 -> C2 with lattice2"
 
 
+@pytest.mark.parametrize(
+    "name, digest",
+    [
+        ("mu", "5441a25b07c6d89ef5816b88c7799f2d887789d96594f16a7b6e81560e99fdb6"),
+        ("phi", "8f1b9bf6ff642c30ac304825a81297b46eb258098d15373f934ae0e16d3dccb5"),
+        ("psi", "96d9f6d602ef172d8c2d962f3121149c351f6f2c3de54ba350865e189a172dbc"),
+    ],
+)
+def test_valuation_report_bytes_are_pinned(name, digest, tmp_path, monkeypatch, capsys):
+    # the linear-side laws of a valuation, a subfn and a supfn; the command
+    # echo names the definition file, so it is read from the working directory
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sample.defs").write_text(SAMPLE, encoding="utf-8")
+    argv = ["valuation", name, "-f", "sample.defs", "--trials", "200", "--seed", "42"]
+    assert main(argv + ["--json", "out.json"]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256((tmp_path / "out.json").read_bytes()).hexdigest() == digest
+
+
 @pytest.mark.parametrize("value", ["1", "0"])
 def test_verify_suite_refuses_too_small_catalog(value):
     proc = run_cli(["verify-suite", "--catalog-max", value])
@@ -503,8 +525,7 @@ def _readme_block(heading, lang):
     return section[start:section.index("```", start)]
 
 
-def test_readme_definition_example_loads_and_its_commands_succeed(tmp_path, monkeypatch):
-    monkeypatch.delenv("POWDOM_SEED", raising=False)
+def test_readme_definition_example_loads_and_its_commands_succeed(tmp_path):
     defs = tmp_path / "my.defs"
     defs.write_text(_readme_block("## Definition files", "text"), encoding="utf-8")
     ws = Workspace()
@@ -574,8 +595,7 @@ _MUTANT_COMMANDS = [
     suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
 )
 @given(text=_readme_mutants(), argv=st.sampled_from(_MUTANT_COMMANDS))
-def test_mutated_definitions_fail_only_with_powdom_errors(text, argv, tmp_path, monkeypatch, capsys):
-    monkeypatch.delenv("POWDOM_SEED", raising=False)
+def test_mutated_definitions_fail_only_with_powdom_errors(text, argv, tmp_path, capsys):
     try:
         Workspace().load_text("mutant.defs", text)
     except PowdomError:

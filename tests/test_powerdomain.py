@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from powdom import catalog
+from powdom.algebra import is_relaxed_morphism
 from powdom.errors import RejectInteger, TypeMismatch
 from powdom.extnum import INF, ONE, ZERO, ExtNN, enn_sum
 from powdom.poset import all_down_sets, all_up_sets
@@ -12,6 +13,7 @@ from powdom.powerdomain import (
     SimpleValuation,
     SubFn,
     SUBLINEAR,
+    SIDES,
     SUPERLINEAR,
     SupFn,
     check_linear_side,
@@ -240,6 +242,80 @@ class TestSublinearity:
         phi = SubFn((dirac(A2, 0), SimpleValuation(A2, ((HALF, 1),))))
         f = Predicate(A2, (HALF, ExtNN(2)))
         assert phi(pred_scale(INF, f)) == INF * phi(f)
+
+    @pytest.mark.parametrize("pname", ["C2", "A2"])
+    def test_side_verdict_is_the_relaxed_morphism_verdict(self, pname):
+        # the sublinear (superlinear) functionals are the tag-relaxed
+        # morphisms into rplus_max (rplus_min): whole-signature walk as oracle
+        poset = POSETS[pname]
+        phis = (
+            catalog.catalog_valuations(poset)
+            + catalog.catalog_envelopes(poset, SubFn)
+            + catalog.catalog_envelopes(poset, SupFn)
+        )
+        cases = [(phi, side) for phi in phis for side in SIDES]
+        offset = _Offset(SubFn((dirac(poset, 0), dirac(poset, poset.size - 1))))
+        lopsided = SupFn((dirac(poset, 0).scale(ExtNN(2)), dirac(poset, poset.size - 1)))
+        broken = [(offset, SUBLINEAR), (lopsided, SUBLINEAR)]
+        verdicts = set()
+        for phi, side in cases + broken:
+            algebra = ALGS[side.algebra]
+            oracle = is_relaxed_morphism(
+                phi, PredAlgebra(algebra, poset), algebra, task_rng(7, "oracle"), 100
+            )
+            report = check_linear_side(phi, side, trials=100, seed=42)
+            assert report.passed == oracle.passed, (phi, side.name)
+            verdicts.add(report.passed)
+            if (phi, side) in broken:
+                assert not report.passed
+            elif isinstance(phi, (SubFn, SupFn)) and phi.side is side:
+                assert report.passed
+        assert verdicts == {True, False}
+
+    def test_subadditivity_witness_names_the_faulty_pair(self):
+        # a point evaluation raised by 1 on chi{top} + chi{bot,top} alone
+        base = SubFn((dirac(C2, 1),))
+        bumped = (ONE, ExtNN(2))
+
+        class Faulty:
+            poset = C2
+
+            def __call__(self, f):
+                return base(f) + (ONE if f.values == bumped else ZERO)
+
+        phi = Faulty()
+        report = check_linear_side(phi, SUBLINEAR, trials=200, seed=42)
+        checks = {c.name: c for c in report.checks}
+        assert not report.passed and checks["zero-at-zero"].passed
+        # the grid phase comes first, so the witness is the grid pair (a
+        # sample that draws the bumped predicate may break the join law too)
+        witness = checks["subadditive"].witness
+        assert {k: witness[k] for k in ("op", "relation", "param", "lhs", "rhs")} == {
+            "op": "add", "relation": "<=", "param": None, "lhs": "3", "rhs": "2"
+        }
+        grid = {chi(u).literal(): chi(u) for u in all_up_sets(C2)}
+        f, g = (grid[literal] for literal in witness["args"])
+        assert pred_add(f, g).values == bumped
+        # replayed on that pair alone, the law fails; every other grid pair holds
+        assert not phi(pred_add(f, g)) <= phi(f) + phi(g)
+        failing = {
+            (a.literal(), b.literal())
+            for a in grid.values()
+            for b in grid.values()
+            if not phi(pred_add(a, b)) <= phi(a) + phi(b)
+        }
+        assert failing == {(f.literal(), g.literal()), (g.literal(), f.literal())}
+
+
+class _Offset:
+    """A functional shifted up by 1 everywhere, so 0 no longer maps to 0."""
+
+    def __init__(self, phi):
+        self.phi = phi
+        self.poset = phi.poset
+
+    def __call__(self, f):
+        return self.phi(f) + ONE
 
 
 class TestDomination:

@@ -113,9 +113,8 @@ def test_leaf_and_composite_records():
     assert CheckOutcome.composite("none", [], "exhaustive").passed
 
 
-def test_suite_report_bytes_are_pinned(tmp_path, monkeypatch):
+def test_suite_report_bytes_are_pinned(tmp_path):
     # a record-shape or sampling change shows up here as a new digest
-    monkeypatch.delenv("POWDOM_SEED", raising=False)
     out = tmp_path / "suite.json"
     argv = ["verify-suite", "--seed", "42", "--trials", "100", "--catalog-max", "2"]
     assert main(argv + ["--json", str(out)]) == 0
