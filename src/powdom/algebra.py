@@ -17,9 +17,10 @@ mode produced them.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, partial
+from operator import is_not
 
 from .errors import (
     ArityMismatch,
@@ -40,6 +41,7 @@ from .sampling import (
     LAW_GRID,
     SAMPLED,
     random_extnn,
+    two_phase,
 )
 
 
@@ -72,18 +74,19 @@ class OpSpec:
 @dataclass(frozen=True)
 class Signature:
     ops: tuple
+    _specs: dict = field(init=False, repr=False, compare=False)  # symbol -> spec
 
     def __post_init__(self):
         object.__setattr__(self, "ops", tuple(self.ops))
-        symbols = [op.symbol for op in self.ops]
-        if len(set(symbols)) != len(symbols):
-            raise SignatureMismatch(f"duplicate op symbols in {symbols}")
+        object.__setattr__(self, "_specs", {op.symbol: op for op in self.ops})
+        if len(self._specs) != len(self.ops):
+            raise SignatureMismatch(f"duplicate op symbols in {[op.symbol for op in self.ops]}")
 
     def spec(self, symbol: str) -> OpSpec:
-        for op in self.ops:
-            if op.symbol == symbol:
-                return op
-        raise UnknownOp(f"unknown operation {symbol!r}")
+        try:
+            return self._specs[symbol]
+        except KeyError:
+            raise UnknownOp(f"unknown operation {symbol!r}") from None
 
     def symbols(self):
         return tuple(op.symbol for op in self.ops)
@@ -183,15 +186,6 @@ class FinAlgebra:
     def grid_tuples(self, nvars):
         return itertools.product(range(self.carrier.size), repeat=nvars)
 
-    def sample_tuple(self, nvars, rng):  # pragma: no cover - exhaustive carrier
-        raise PowdomError("finite carriers are checked exhaustively")
-
-    def grid_params(self, symbol):
-        return (None,)
-
-    def sample_param(self, symbol, rng):
-        return None
-
 
 class RatAlgebra:
     """Ops on the extended nonnegative rationals, realised as closed forms.
@@ -216,8 +210,7 @@ class RatAlgebra:
         # cheap construction-time sanity check; the verify suite re-runs the
         # monotonicity law with samples as well
         for op in self.signature.ops:
-            params = self.grid if op.parametric else (None,)
-            for param in params:
+            for param in _param_grid(self, op):
                 for args in itertools.product(self.grid, repeat=op.arity):
                     for pos in range(op.arity):
                         for hi in self.grid:
@@ -257,15 +250,10 @@ class RatAlgebra:
     def sample_tuple(self, nvars, rng):
         return tuple(random_extnn(rng) for _ in range(nvars))
 
-    def grid_params(self, symbol):
-        if not self.signature.spec(symbol).parametric:
-            return (None,)
-        return self.grid
 
-    def sample_param(self, symbol, rng):
-        if not self.signature.spec(symbol).parametric:
-            return None
-        return random_extnn(rng)
+def _param_grid(algebra, spec):
+    """The grid of an op's parameter: the carrier grid for a family, else (None,)."""
+    return algebra.grid if spec.parametric else (None,)
 
 
 def lift_pointwise(algebra: FinAlgebra, base: FinPoset, size_guard: int = DEFAULT_SIZE_GUARD) -> FinAlgebra:
@@ -335,15 +323,41 @@ class CheckOutcome:
         return record
 
 
-def first_failure(name, witnesses, mode=EXHAUSTIVE) -> CheckOutcome:
-    """The verdict of a law walked as a lazy stream of failing instances.
+def first_failure(name, results, mode=EXHAUSTIVE) -> CheckOutcome:
+    """The verdict of a law walked as a lazy stream of its instances.
 
-    ``witnesses`` yields one witness dict per failing instance, in check
-    order.  Only the first is taken, so nothing after it is generated: a
-    sampled phase draws from its stream only up to the failing instance.
+    ``results`` has one result per instance in check order: ``None`` where the
+    law held, else a witness dict (a hand-built walk may leave the Nones out).
+    Only the first witness is taken and nothing after it is generated, so a
+    sampled phase draws only up to the failing instance.
     """
-    witness = next(iter(witnesses), None)
+    witness = next(filter(partial(is_not, None), results), None)
     return CheckOutcome(name, witness is None, mode, witness)
+
+
+def _sampler(algebra, rng, draws, draw):
+    """``draw`` on a sampled carrier with an rng, if an instance draws anything."""
+    return draw if algebra.mode == SAMPLED and rng is not None and draws else None
+
+
+def _instances(algebra, nvars, specs, rng, trials):
+    """``(values, *params)``: ``nvars`` carrier values, one parameter per spec.
+
+    The grid runs the parameters outermost and the values innermost; a sample
+    draws the values, then each op family's parameter in spec order.
+    """
+    grid = (
+        (values, *params)
+        for params in itertools.product(*(_param_grid(algebra, s) for s in specs))
+        for values in algebra.grid_tuples(nvars)
+    )
+
+    def draw():
+        return (algebra.sample_tuple(nvars, rng), *(random_extnn(rng) if s.parametric else None for s in specs))
+
+    # an empty tuple without parameters is one grid instance; samples would repeat it
+    drawn = nvars or any(s.parametric for s in specs)
+    return two_phase(grid, _sampler(algebra, rng, drawn, draw), trials)
 
 
 def _require_same_signature(b, r):
@@ -371,7 +385,8 @@ def _interchange_check(algebra, sigma: str, omega: str, relation, rng=None, tria
     n, m = s_spec.arity, o_spec.arity
     name = label or f"{relation}:{sigma},{omega}"
 
-    def instance_fails(matrix, s_param, o_param):
+    def instance_fails(flat, s_param, o_param):
+        matrix = tuple(flat[i * m : (i + 1) * m] for i in range(n))
         rows = tuple(algebra.apply(omega, matrix[i], o_param) for i in range(n))
         lhs = algebra.apply(sigma, rows, s_param)
         columns = (tuple(matrix[i][j] for i in range(n)) for j in range(m))
@@ -389,20 +404,9 @@ def _interchange_check(algebra, sigma: str, omega: str, relation, rng=None, tria
             "rhs": algebra.value_str(rhs),
         }
 
-    def instances():
-        for s_param in algebra.grid_params(sigma):
-            for o_param in algebra.grid_params(omega):
-                for flat in algebra.grid_tuples(n * m):
-                    yield tuple(flat[i * m : (i + 1) * m] for i in range(n)), s_param, o_param
-        # an empty matrix without parameters draws nothing to sample
-        drawn = n * m or s_spec.parametric or o_spec.parametric
-        if algebra.mode == SAMPLED and rng is not None and drawn:
-            for _ in range(trials):
-                matrix = tuple(algebra.sample_tuple(m, rng) for _ in range(n))
-                yield matrix, algebra.sample_param(sigma, rng), algebra.sample_param(omega, rng)
-
-    witnesses = filter(None, itertools.starmap(instance_fails, instances()))
-    return first_failure(name, witnesses, algebra.mode)
+    # a sampled matrix is n*m values drawn in row order, as n rows of m
+    results = itertools.starmap(instance_fails, _instances(algebra, n * m, (s_spec, o_spec), rng, trials))
+    return first_failure(name, results, algebra.mode)
 
 
 def commutes(algebra, sigma: str, omega: str, rng=None, trials=0) -> CheckOutcome:
@@ -473,22 +477,13 @@ def _morphism_check(phi, b, r, relation_for, rng, trials, name) -> CheckOutcome:
             "rhs": r.value_str(rhs),
         }
 
-    def instances():
-        for op in b.signature.ops:
-            relation = relation_for(op)
-            if relation is None:
-                continue
-            for param in b.grid_params(op.symbol):
-                for args in b.grid_tuples(op.arity):
-                    yield op, relation, args, param
-            # a nullary op without a parameter draws nothing to sample
-            if b.mode == SAMPLED and rng is not None and (op.arity or op.parametric):
-                for _ in range(trials):
-                    args = b.sample_tuple(op.arity, rng)
-                    yield op, relation, args, b.sample_param(op.symbol, rng)
-
-    witnesses = filter(None, itertools.starmap(instance_fails, instances()))
-    return first_failure(name, witnesses, b.mode)
+    results = (
+        instance_fails(op, relation, args, param)
+        for op in b.signature.ops
+        if (relation := relation_for(op)) is not None
+        for args, param in _instances(b, op.arity, (op,), rng, trials)
+    )
+    return first_failure(name, results, b.mode)
 
 
 def is_homomorphism(phi, b, r, rng=None, trials=0) -> CheckOutcome:
@@ -503,8 +498,10 @@ def is_homomorphism(phi, b, r, rng=None, trials=0) -> CheckOutcome:
 def is_relaxed_morphism(phi, b, r, rng=None, trials=0, symbol=None) -> CheckOutcome:
     """Morphism check with the tagged relaxations: <= for LE ops, >= for GE.
 
-    With ``symbol``, only that op is checked.
+    With ``symbol``, only that op is checked (``UnknownOp`` if it has none).
     """
+    if symbol is not None:
+        b.signature.spec(symbol)
 
     def relation_for(op):
         if symbol is not None and op.symbol != symbol:
@@ -684,28 +681,22 @@ def check_module_axioms(action: EndoAction, algebra, rng=None, trials=DEFAULT_TR
     identity action, compatibility with composition, ops on endos acting
     pointwise, and each endo acting as an op-preserving map.
     """
-    sampled = algebra.mode == SAMPLED and rng is not None and action.sample_endo is not None
     mode = algebra.mode
 
     checks = []
 
     def run_axiom(name, endo_count, value_count, test, params=(None,)):
-        def instances():
-            # grid/exhaustive phase
-            for es in itertools.product(action.grid_endos, repeat=endo_count):
-                for xs in algebra.grid_tuples(value_count):
-                    for param in params:
-                        yield es, xs, param
-            # sampled joint phase on the infinite carrier; op parameters
-            # stay on the grid
-            if sampled:
-                for _ in range(trials):
-                    es = tuple(action.sample_endo(rng) for _ in range(endo_count))
-                    xs = algebra.sample_tuple(value_count, rng)
-                    for param in params:
-                        yield es, xs, param
+        endos = itertools.product(action.grid_endos, repeat=endo_count)
+        grid = itertools.product(endos, algebra.grid_tuples(value_count))
 
-        checks.append(first_failure(name, filter(None, itertools.starmap(test, instances())), mode))
+        def sample():
+            es = tuple(action.sample_endo(rng) for _ in range(endo_count))
+            return es, algebra.sample_tuple(value_count, rng)
+
+        # endos and values are sampled jointly; op parameters stay on the grid
+        stream = two_phase(grid, _sampler(algebra, rng, action.sample_endo is not None, sample), trials)
+        results = (test(es, xs, param) for es, xs in stream for param in params)
+        checks.append(first_failure(name, results, mode))
 
     def param_str(param):
         return None if param is None else algebra.value_str(param)
@@ -766,7 +757,7 @@ def check_module_axioms(action: EndoAction, algebra, rng=None, trials=DEFAULT_TR
                 }
             return None
 
-        params = algebra.grid_params(op.symbol)
+        params = _param_grid(algebra, op)
         run_axiom(f"ax3:ops-pointwise:{op.symbol}", op.arity, 1, ax3, params)
         run_axiom(f"ax4:endo-preserves:{op.symbol}", 1, op.arity, ax4, params)
 

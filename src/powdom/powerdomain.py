@@ -36,12 +36,14 @@ from .extnum import ExtNN, ONE, ZERO, enn_dot, enn_max, enn_min, enn_sum
 from .monad import functional_space
 from .poset import ElemSet, FinPoset, all_down_sets, all_up_sets, is_order_iso, set_inclusion_poset
 from .sampling import (
+    DEFAULT_SEED,
     DEFAULT_SIZE_GUARD,
     DEFAULT_TRIALS,
     SAMPLED,
     SCALAR_GRID,
     random_monotone_values,
     task_rng,
+    two_phase,
 )
 
 
@@ -124,6 +126,7 @@ class PredAlgebra:
         self.base = base
         self.poset = poset
         self.signature = base.signature
+        self.grid = base.grid
         self.name = f"{base.name}^{poset.size}"
         self.chis = tuple(chi(u) for u in all_up_sets(poset, size_guard))
 
@@ -146,12 +149,6 @@ class PredAlgebra:
 
     def sample_tuple(self, nvars, rng):
         return tuple(random_predicate(self.poset, rng) for _ in range(nvars))
-
-    def grid_params(self, symbol):
-        return self.base.grid_params(symbol)
-
-    def sample_param(self, symbol, rng):
-        return self.base.sample_param(symbol, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -512,7 +509,7 @@ def sobrification(x: FinPoset, frame_algebra: FinAlgebra, size_guard: int = DEFA
 # sublinear / superlinear law checks
 
 
-def check_linear_side(phi, side: LinearSide, trials: int = DEFAULT_TRIALS, seed: int = 42, size_guard: int = DEFAULT_SIZE_GUARD) -> CheckOutcome:
+def check_linear_side(phi, side: LinearSide, trials: int = DEFAULT_TRIALS, seed: int = DEFAULT_SEED, size_guard: int = DEFAULT_SIZE_GUARD) -> CheckOutcome:
     """Zero at zero, then each law of the side as a relaxed-morphism check.
 
     ``phi`` is walked as a map from the predicates, ``PredAlgebra`` over the
@@ -541,7 +538,7 @@ def check_linear_side(phi, side: LinearSide, trials: int = DEFAULT_TRIALS, seed:
     return CheckOutcome.composite(side.name, checks, SAMPLED)
 
 
-def domination_check(mu: SimpleValuation, phi, trials: int = DEFAULT_TRIALS, seed: int = 42, size_guard: int = DEFAULT_SIZE_GUARD) -> CheckOutcome:
+def domination_check(mu: SimpleValuation, phi, trials: int = DEFAULT_TRIALS, seed: int = DEFAULT_SEED, size_guard: int = DEFAULT_SIZE_GUARD) -> CheckOutcome:
     """Is mu below a SubFn (resp. above a SupFn or a valuation) on every
     tested predicate?
 
@@ -552,17 +549,16 @@ def domination_check(mu: SimpleValuation, phi, trials: int = DEFAULT_TRIALS, see
         raise TypeMismatch("valuation and functional live over different posets")
     side = SUBLINEAR if isinstance(phi, SubFn) else SUPERLINEAR
     rng = task_rng(seed, "domination")
-    chis = [chi(u) for u in all_up_sets(mu.poset, size_guard)]
-    samples = (random_predicate(mu.poset, rng) for _ in range(trials))
+    preds = two_phase(map(chi, all_up_sets(mu.poset, size_guard)), lambda: random_predicate(mu.poset, rng), trials)
     witnesses = (
         {"f": f.literal(), "mu": str(a), "phi": str(b)}
-        for f in itertools.chain(chis, samples)
+        for f in preds
         if not _oriented_leq(side.below, a := mu(f), b := phi(f))
     )
     return first_failure(side.domination, witnesses, SAMPLED)
 
 
-def non_integer_witness(x: FinPoset, point: int, r: ExtNN, rat_monoid, trials: int = DEFAULT_TRIALS, seed: int = 42, size_guard: int = DEFAULT_SIZE_GUARD) -> CheckOutcome:
+def non_integer_witness(x: FinPoset, point: int, r: ExtNN, rat_monoid, trials: int = DEFAULT_TRIALS, seed: int = DEFAULT_SEED, size_guard: int = DEFAULT_SIZE_GUARD) -> CheckOutcome:
     """Witness that a non-integer multiple of a point evaluation cannot be
     generated from point evaluations by addition alone.
 

@@ -2,9 +2,10 @@
 
 Universally quantified laws over the extended rationals cannot be checked
 exhaustively; verdicts there are "counterexample-free at seed s".  A check
-runs in two phases: exhaustively over a small fixed grid, then over seeded
-random tuples.  Per-task seeds are derived from the run seed and the task
-label so that independent checks draw independent but reproducible streams.
+runs in two phases, exhaustively over a small fixed grid and then over
+seeded random tuples, and ``two_phase`` is the one place that orders them.
+Per-task seeds are derived from the run seed and the task label so that
+independent checks draw independent but reproducible streams.
 """
 
 from __future__ import annotations
@@ -58,6 +59,14 @@ def derive_seed(seed: int, label: str) -> int:
 
 def task_rng(seed: int, label: str) -> random.Random:
     return random.Random(derive_seed(seed, label))
+
+
+def two_phase(grid, draw, trials):
+    """The instances of ``grid``, then ``trials`` draws (none if ``draw`` is None)."""
+    yield from grid
+    if draw is not None:
+        for _ in range(trials):
+            yield draw()
 
 
 def random_extnn(rng: random.Random) -> ExtNN:

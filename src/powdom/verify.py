@@ -7,10 +7,11 @@ state/predicate transformer correspondence, the set-based powerdomain
 cross-checks, and the valuation engine.  Records are deterministic given
 the configuration, including every seed used.
 
-Each law walks its instances lazily through ``first_failure``: a failing
-record names its first failing instance in ``witness`` (posets by name,
-maps, predicates, valuations and envelopes by their literals, transformers
-by their tables), and the instances after it are not checked.
+Each law walks its instances lazily through ``first_failure``, one result
+per instance with ``None`` where it held; sampled laws take theirs from
+``sampling.two_phase``.  A failing record names its first failing instance
+in ``witness`` (posets by name, maps, predicates, valuations and envelopes
+by their literals, transformers by their tables); later ones go unchecked.
 """
 
 from __future__ import annotations
@@ -72,6 +73,7 @@ from .sampling import (
     derive_seed,
     random_extnn,
     task_rng,
+    two_phase,
 )
 
 # the algebra and monad sections look up the catalog posets one, C2 and A2
@@ -130,10 +132,9 @@ EXTNUM_LAWS = {
 
 def check_extnum(cfg: SuiteConfig):
     rng = cfg.rng("extnum")
-    triples = list(itertools.product(MONOID_GRID, repeat=3))
-    triples += [
-        tuple(random_extnn(rng) for _ in range(3)) for _ in range(cfg.trials)
-    ]
+    grid = itertools.product(MONOID_GRID, repeat=3)
+    # drawn up front: the five laws share the triples
+    triples = list(two_phase(grid, lambda: tuple(random_extnn(rng) for _ in range(3)), cfg.trials))
     return [
         first_failure(
             f"extnum.{law}",
@@ -492,7 +493,7 @@ def check_valuations(cfg: SuiteConfig):
     def nonlinear():
         for name, poset, vals, chis in inputs:
             rng = cfg.rng(f"valuation.linearity.{name}")
-            preds = chis + [random_predicate(poset, rng) for _ in range(1000)]
+            preds = list(two_phase(chis, lambda: random_predicate(poset, rng), 1000))
             for witness in linearity_failures(vals, chis, preds):
                 yield {"poset": name, **witness}
             for f, g in zip(preds[::2], preds[1::2]):
@@ -521,7 +522,7 @@ def check_valuations(cfg: SuiteConfig):
     def cone_failures():
         for name, poset, vals, chis in inputs:
             rng = cfg.rng(f"valuation.cone.{name}")
-            scalars = list(SCALAR_GRID) + [random_extnn(rng) for _ in range(10 - len(SCALAR_GRID))]
+            scalars = list(two_phase(SCALAR_GRID, lambda: random_extnn(rng), 10 - len(SCALAR_GRID)))
             pairs = list(itertools.product(scalars, repeat=2))
             vals = vals[:5]
             scaled = {}  # c mu once per (mu, c), for the scalars, their sums and products

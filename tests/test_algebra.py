@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -496,6 +497,12 @@ def test_first_failure_stops_at_the_first_witness():
     assert next(rest) == {"b": 2}
     empty = first_failure("law", iter(()))
     assert (empty.passed, empty.mode, empty.witness) == (True, EXHAUSTIVE, None)
+    # one result per instance: None where the law held
+    results = iter([None, None, {"c": 3}, None, {"d": 4}])
+    assert first_failure("law", results).witness == {"c": 3}
+    assert next(results) is None
+    held = first_failure("law", iter([None, None]))
+    assert (held.passed, held.witness) == (True, None)
 
 
 def test_sampled_failure_draws_up_to_the_failing_sample_only():
@@ -541,6 +548,84 @@ def test_sampled_phase_skips_instances_that_draw_nothing(monkeypatch):
     assert is_relaxed_morphism(lambda x: x, rplus, rplus, rng, 500, "zero").passed
     assert calls == ["zero", "zero"]
     assert rng.random() == task_rng(7, "nothing-drawn").random()
+
+
+def _eleventh(x):
+    return str(x).endswith("/11")
+
+
+def test_sampled_interchange_draws_the_values_then_the_parameter():
+    # scale is off by one at every elevenths scalar, which the grid lacks;
+    # each sample draws the 1x2 matrix, then scale's parameter
+    sig = Signature((OpSpec("add", 2, OpTag.EQ), OpSpec("scale", 1, OpTag.EQ, parametric=True)))
+    alg = RatAlgebra(
+        "faulty",
+        sig,
+        {"add": lambda a, b: a + b, "scale": lambda r, x: r * x + (ONE if _eleventh(r) else ZERO)},
+    )
+    assert commutes(alg, "scale", "add").passed  # the grid phase alone passes
+    rng = task_rng(7, "interchange")
+    outcome = commutes(alg, "scale", "add", rng, 300)
+    assert outcome.witness == {
+        "sigma": "scale", "omega": "add", "relation": "=",
+        "matrix": [["15/11", "5/6"]], "sigma_param": "14/11", "omega_param": None,
+        "lhs": "1378/363", "rhs": "1741/363",
+    }
+    assert rng.random() == 0.038163624524466755
+
+
+def test_sampled_module_axioms_draw_endos_then_values():
+    # the action is off by one at every elevenths endo, which the grid lacks;
+    # scale's parameter stays on the grid in both phases
+    alg = ALGS["rplus_max"]
+    action = replace(scalar_action(alg), act=lambda e, x: e * x + (ONE if _eleventh(e) else ZERO))
+    assert check_module_axioms(action, alg).passed  # the grid phase alone passes
+    rng = task_rng(7, "module")
+    report = check_module_axioms(action, alg, rng, 300)
+    assert {c.name: c.witness for c in report.witnesses()} == {
+        "ax2:composition": {"endos": ["6", "10/11"], "x": "4/7", "lhs": "317/77", "rhs": "702/77"},
+        "ax3:ops-pointwise:add": {
+            "op": "add", "param": None, "endos": ["13/11", "7/10"], "x": "2",
+            "lhs": "207/55", "rhs": "262/55",
+        },
+        "ax4:endo-preserves:add": {
+            "op": "add", "param": None, "endo": "23/11", "args": ["10", "15/8"],
+            "lhs": "2273/88", "rhs": "2361/88",
+        },
+        "ax3:ops-pointwise:max": {
+            "op": "max", "param": None, "endos": ["5/2", "23/11"], "x": "9/8",
+            "lhs": "45/16", "rhs": "295/88",
+        },
+        "ax3:ops-pointwise:scale": {
+            "op": "scale", "param": "1/3", "endos": ["19/11"], "x": "7/2",
+            "lhs": "133/66", "rhs": "155/66",
+        },
+        "ax4:endo-preserves:scale": {
+            "op": "scale", "param": "0", "endo": "13/11", "args": ["11/10"], "lhs": "1", "rhs": "0",
+        },
+        "ax4:endo-preserves:zero": {
+            "op": "zero", "param": None, "endo": "13/11", "args": [], "lhs": "1", "rhs": "0",
+        },
+    }
+    assert rng.random() == 0.601568025920552
+
+
+def test_relaxed_morphism_refuses_an_unknown_symbol():
+    rmax = ALGS["rplus_max"]
+    with pytest.raises(UnknownOp):
+        is_relaxed_morphism(lambda x: x, rmax, rmax, task_rng(7, "mx"), 10, symbol="mx")
+
+
+def test_signature_keeps_its_specs_out_of_equality_and_repr():
+    ops = (OpSpec("add", 2, OpTag.LE), OpSpec("zero", 0, OpTag.EQ))
+    sig = Signature(ops)
+    assert sig.spec("zero") is ops[1]
+    assert sig == Signature(list(ops)) and hash(sig) == hash(Signature(list(ops)))
+    assert repr(sig) == f"Signature(ops={ops!r})"
+    with pytest.raises(UnknownOp):
+        sig.spec("max")
+    with pytest.raises(SignatureMismatch, match="duplicate op symbols in"):
+        Signature(ops + (OpSpec("add", 2, OpTag.EQ),))
 
 
 def test_relaxed_morphism_restricted_to_one_op():

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from powdom import catalog
+from powdom import catalog, powerdomain
 from powdom.algebra import is_relaxed_morphism
 from powdom.errors import RejectInteger, TypeMismatch
 from powdom.extnum import INF, ONE, ZERO, ExtNN, enn_sum
@@ -329,6 +329,26 @@ class TestDomination:
         total = dirac(A2, 0).add(dirac(A2, 1))
         report = domination_check(total, phi, trials=200, seed=42)
         assert not report.passed
+
+    def test_sampled_failure_names_the_drawn_predicate(self, monkeypatch):
+        # phi reads 0 on any predicate with an elevenths value, which no
+        # up-set characteristic has; the walk stops at the first such sample
+        class Faulty(SubFn):
+            def __call__(self, f):
+                return ZERO if any(str(v).endswith("/11") for v in f.values) else super().__call__(f)
+
+        phi = Faulty((dirac(A2, 0), dirac(A2, 1)))
+        assert domination_check(dirac(A2, 0), phi, trials=0).passed
+        made = []
+
+        def kept_rng(seed, label):
+            made.append(task_rng(seed, label))
+            return made[-1]
+
+        monkeypatch.setattr(powerdomain, "task_rng", kept_rng)
+        report = domination_check(dirac(A2, 0), phi, trials=300, seed=7)
+        assert report.witness == {"f": "pred { a -> 16/11; b -> 19/5 }", "mu": "16/11", "phi": "0"}
+        assert made[-1].random() == 0.534695703932012
 
     def test_single_component_equality_both_ways(self):
         mu = SimpleValuation(A2, ((HALF, 0), (THIRD, 1)))
