@@ -20,7 +20,6 @@ from .algebra import (
     Signature,
     commutes,
     endomorphisms,
-    eval_term,
     generated_subalgebra,
     is_entropic,
     is_homomorphism,

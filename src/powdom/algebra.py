@@ -27,13 +27,12 @@ from .errors import (
     PowdomError,
     SignatureMismatch,
     TypeMismatch,
-    UnboundVariable,
     UnknownElement,
     UnknownOp,
 )
 from .extnum import ONE, enn_mul
-from .funcspace import MonoMap, compose, enumerate_monotone, identity_map
-from .poset import FinPoset, sub_poset
+from .funcspace import ExpPoset, MonoMap, compose, enumerate_monotone, identity_map
+from .poset import FinPoset
 from .sampling import (
     DEFAULT_SIZE_GUARD,
     DEFAULT_TRIALS,
@@ -163,9 +162,6 @@ class FinAlgebra:
 
     def __hash__(self):
         return hash(self._key)
-
-    def values(self):
-        return range(self.carrier.size)
 
     def apply(self, symbol, args, param=None):
         self.signature.spec(symbol)
@@ -378,12 +374,11 @@ def _relation_holds(relation, algebra, lhs, rhs) -> bool:
 _REL_TEXT = {"eq": "=", "le": "<=", "ge": ">="}
 
 
-def _interchange_check(algebra, sigma: str, omega: str, relation, rng=None, trials=0, label=None):
+def _interchange_check(algebra, sigma: str, omega: str, relation, rng, trials, name):
     """Check sigma(omega(rows)) REL omega(sigma(columns)) over all matrices."""
     s_spec = algebra.signature.spec(sigma)
     o_spec = algebra.signature.spec(omega)
     n, m = s_spec.arity, o_spec.arity
-    name = label or f"{relation}:{sigma},{omega}"
 
     def instance_fails(flat, s_param, o_param):
         matrix = tuple(flat[i * m : (i + 1) * m] for i in range(n))
@@ -537,94 +532,18 @@ def generated_subalgebra(algebra: FinAlgebra, generators) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# terms
-
-
-@dataclass(frozen=True)
-class Var:
-    index: int
-
-
-@dataclass(frozen=True)
-class App:
-    symbol: str
-    args: tuple
-    param: object = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "args", tuple(self.args))
-
-
-def eval_term(term, env, algebra):
-    """Bottom-up evaluation of a term against an algebra's operations."""
-    if isinstance(term, Var):
-        if not 0 <= term.index < len(env):
-            raise UnboundVariable(f"variable v{term.index} not bound")
-        return env[term.index]
-    spec = algebra.signature.spec(term.symbol)
-    if len(term.args) != spec.arity:
-        raise ArityMismatch(
-            f"{term.symbol} expects {spec.arity} arguments, got {len(term.args)}"
-        )
-    values = tuple(eval_term(a, env, algebra) for a in term.args)
-    return algebra.apply(term.symbol, values, term.param)
-
-
-# ---------------------------------------------------------------------------
 # endomorphisms and module axioms
 
 
-def endomorphisms(algebra: FinAlgebra, size_guard: int = DEFAULT_SIZE_GUARD):
-    """All monotone self-maps of the carrier preserving every operation."""
-    expo = enumerate_monotone(algebra.carrier, algebra.carrier, size_guard)
-    return [m for m in expo.maps if is_homomorphism(m, algebra, algebra)]
+def endomorphisms(algebra: FinAlgebra, size_guard: int = DEFAULT_SIZE_GUARD) -> ExpPoset:
+    """End(A): the monotone self-maps of the carrier preserving every operation.
 
-
-def endo_algebra(algebra: FinAlgebra, size_guard: int = DEFAULT_SIZE_GUARD) -> FinAlgebra:
-    """The endomorphisms as an algebra: pointwise ops, composition, identity.
-
-    Requires the endomorphisms to be closed under the pointwise ops (which
-    holds when the base algebra is entropic).
+    Returned as the exponential of those maps, in ascending lexicographic
+    order of their tables and ordered pointwise.
     """
     expo = enumerate_monotone(algebra.carrier, algebra.carrier, size_guard)
-    endo_idx = [i for i, m in enumerate(expo.maps) if is_homomorphism(m, algebra, algebra)]
-    pos = {e: k for k, e in enumerate(endo_idx)}
-    carrier = sub_poset(expo.poset, endo_idx)
-    n = algebra.carrier.size
-
-    def locate(table):
-        try:
-            return pos[expo.index(table)]
-        except (KeyError, TypeMismatch):
-            raise PowdomError(
-                "endomorphisms are not closed under the pointwise operations"
-            ) from None
-
-    tables = {}
-    for op in algebra.signature.ops:
-        table = {}
-        for args in itertools.product(range(len(endo_idx)), repeat=op.arity):
-            result = tuple(
-                algebra.apply(
-                    op.symbol, tuple(expo.maps[endo_idx[a]].table[x] for a in args)
-                )
-                for x in range(n)
-            )
-            table[args] = locate(result)
-        tables[op.symbol] = table
-    comp = {}
-    for a in range(len(endo_idx)):
-        for b in range(len(endo_idx)):
-            # comp(a, b) applies b first, then a
-            result = compose(expo.maps[endo_idx[b]], expo.maps[endo_idx[a]])
-            comp[(a, b)] = locate(result.table)
-    tables["comp"] = comp
-    tables["id"] = {(): pos[expo.index(identity_map(algebra.carrier))]}
-    signature = Signature(
-        algebra.signature.ops
-        + (OpSpec("comp", 2, OpTag.EQ), OpSpec("id", 0, OpTag.EQ))
-    )
-    return FinAlgebra(f"End({algebra.name})", carrier, signature, tables)
+    homs = [m for m in expo.maps if is_homomorphism(m, algebra, algebra)]
+    return ExpPoset(algebra.carrier, algebra.carrier, homs)
 
 
 @dataclass
@@ -653,10 +572,8 @@ def scalar_action(algebra: RatAlgebra) -> EndoAction:
     )
 
 
-def map_action(algebra: FinAlgebra, endos=None) -> EndoAction:
-    """Monotone self-maps acting by application (endos default to the hom ones)."""
-    if endos is None:
-        endos = endomorphisms(algebra)
+def map_action(algebra: FinAlgebra) -> EndoAction:
+    """End(A) acting on A by application."""
     n = algebra.carrier.size
 
     def op_on_endos(sym, maps, param):
@@ -666,7 +583,7 @@ def map_action(algebra: FinAlgebra, endos=None) -> EndoAction:
         return MonoMap(algebra.carrier, algebra.carrier, table)
 
     return EndoAction(
-        grid_endos=tuple(endos),
+        grid_endos=endomorphisms(algebra).maps,
         identity=identity_map(algebra.carrier),
         compose=lambda e1, e2: compose(e2, e1),
         op_on_endos=op_on_endos,

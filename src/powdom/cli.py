@@ -310,6 +310,9 @@ def main(argv=None) -> int:
     if args.cmd == "verify-suite" and args.catalog_max < MIN_CATALOG_MAX:
         print(f"error: --catalog-max must be at least {MIN_CATALOG_MAX}", file=sys.stderr)
         return 2
+    if args.trials < 0:
+        print("error: --trials must be at least 0", file=sys.stderr)
+        return 2
 
     command_echo = _command_echo(argv if argv is not None else sys.argv[1:])
     config = {

@@ -54,10 +54,6 @@ class UnknownElement(PowdomError):
     pass
 
 
-class UnboundVariable(PowdomError):
-    pass
-
-
 class ArityMismatch(PowdomError):
     pass
 

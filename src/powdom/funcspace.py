@@ -81,7 +81,8 @@ def precompose(u: MonoMap, g: MonoMap) -> MonoMap:
 
 
 class ExpPoset:
-    """All monotone maps X -> Y with the pointwise order, as a poset.
+    """Monotone maps X -> Y with the pointwise order, as a poset: all of them,
+    or a family of them such as End(A).
 
     Maps are listed in ascending lexicographic order of their tables; the
     materialised poset uses the tables as element labels, and its order is

@@ -28,6 +28,7 @@ from .algebra import (
     Signature,
     check_module_axioms,
     commutes,
+    endomorphisms,
     first_failure,
     generated_subalgebra,
     is_entropic,
@@ -49,7 +50,7 @@ from .monad import (
     p_transform,
     q_transform,
 )
-from .poset import all_down_sets, all_up_sets, poset_from_cover, sub_poset
+from .poset import all_down_sets, all_up_sets, poset_from_cover
 from .powerdomain import (
     ENVELOPES,
     SET_POWERDOMAINS,
@@ -380,11 +381,10 @@ def check_monad(cfg: SuiteConfig):
     # the unit on an algebra is op-preserving into the hom functionals
     for aname in ("2_ang", "2_dem", "lattice2"):
         a = algs[aname]
-        expo = enumerate_monotone(a.carrier, a.carrier, cfg.size_guard)
-        hom_idx = [i for i, m in enumerate(expo.maps) if is_homomorphism(m, a, a)]
-        lifted = lift_pointwise(a, sub_poset(expo.poset, hom_idx), cfg.size_guard)
+        endos = endomorphisms(a, cfg.size_guard)
+        lifted = lift_pointwise(a, endos.poset, cfg.size_guard)
         table = tuple(
-            lifted.expo.index(tuple(expo.maps[h].table[v] for h in hom_idx))
+            lifted.expo.index(tuple(h.table[v] for h in endos.maps))
             for v in range(a.carrier.size)
         )
         outcome = is_homomorphism(MonoMap(a.carrier, lifted.carrier, table), a, lifted)

@@ -1,24 +1,19 @@
 import itertools
 from dataclasses import replace
-from fractions import Fraction
 
 import pytest
 
 from powdom import catalog
 from powdom.algebra import (
-    App,
     EndoAction,
     FinAlgebra,
     OpSpec,
     OpTag,
     RatAlgebra,
     Signature,
-    Var,
     check_module_axioms,
     commutes,
-    endo_algebra,
     endomorphisms,
-    eval_term,
     first_failure,
     generated_subalgebra,
     is_entropic,
@@ -34,13 +29,13 @@ from powdom.errors import (
     ArityMismatch,
     PowdomError,
     SignatureMismatch,
-    UnboundVariable,
     UnknownOp,
 )
+from powdom.defs import Workspace
 from powdom.extnum import INF, ONE, ZERO, ExtNN
 from powdom.funcspace import MonoMap, enumerate_monotone, identity_map
 from powdom.monad import functional_space
-from powdom.poset import poset_from_cover
+from powdom.poset import poset_from_cover, sub_poset
 from powdom.powerdomain import PredAlgebra, SubFn, dirac
 from powdom.sampling import EXHAUSTIVE, SAMPLED, random_extnn, task_rng
 
@@ -289,50 +284,79 @@ class TestGeneratedSubalgebra:
             assert set(closed) <= set(bigger)
 
 
-class TestTerms:
-    def test_variable(self):
-        assert eval_term(Var(0), [1], ALGS["2_ang"]) == 1
+# a 3-element chain whose bottom constant rules out 4 of its 10 monotone self-maps
+CHAIN3 = """
+poset P3
+elems lo mid hi
+le lo mid
+le mid hi
+end
 
-    def test_join_application(self):
-        term = App("join", (Var(0), Var(1)))
-        assert eval_term(term, [0, 1], ALGS["2_ang"]) == 1
+algebra chainjoin on P3
+op sup arity 2 tag EQ
+op bot arity 0 tag EQ
+table sup { (lo,lo)->lo; (lo,mid)->mid; (lo,hi)->hi;
+            (mid,lo)->mid; (mid,mid)->mid; (mid,hi)->hi;
+            (hi,lo)->hi; (hi,mid)->hi; (hi,hi)->hi }
+table bot { () -> lo }
+end
+"""
 
-    def test_unit_law_on_rationals(self):
-        term = App("add", (Var(0), App("zero", ())))
-        x = ExtNN(Fraction(5, 3))
-        assert eval_term(term, [x], ALGS["rplus"]) == x
 
-    def test_unbound_variable(self):
-        with pytest.raises(UnboundVariable):
-            eval_term(Var(2), [0], ALGS["2_ang"])
+def _chain_algebra():
+    ws = Workspace()
+    ws.load_text("chain3.defs", CHAIN3)
+    return ws.algebra("chainjoin")
 
-    def test_arity_mismatch(self):
-        with pytest.raises(ArityMismatch):
-            eval_term(App("join", (Var(0),)), [0], ALGS["2_ang"])
+
+FIN_ALGS = [a for a in ALGS.values() if isinstance(a, FinAlgebra)] + [_chain_algebra()]
+
+
+def brute_force_endos(alg):
+    """Every |A|^|A| table that is monotone and commutes with each op table."""
+    n = alg.carrier.size
+    leq = alg.carrier.leq
+    found = []
+    for t in itertools.product(range(n), repeat=n):
+        monotone = all(leq[t[x]][t[y]] for x in range(n) for y in range(n) if leq[x][y])
+        preserves = all(
+            t[value] == table[tuple(t[x] for x in args)]
+            for table in alg.tables.values()
+            for args, value in table.items()
+        )
+        if monotone and preserves:
+            found.append(t)
+    return sorted(found)
 
 
 class TestEndomorphisms:
     def test_join_algebra_endos(self):
         endos = endomorphisms(ALGS["2_ang"])
-        assert sorted(e.table for e in endos) == [(0, 0), (0, 1)]
+        assert [e.table for e in endos.maps] == [(0, 0), (0, 1)]
 
     def test_meet_algebra_endos(self):
         endos = endomorphisms(ALGS["2_dem"])
-        assert sorted(e.table for e in endos) == [(0, 1), (1, 1)]
+        assert [e.table for e in endos.maps] == [(0, 1), (1, 1)]
 
     def test_identity_always_present(self):
         for name in ("2_ang", "2_dem", "frame2"):
             endos = endomorphisms(ALGS[name])
-            assert any(e.table == (0, 1) for e in endos)
+            assert any(e.table == (0, 1) for e in endos.maps)
 
-    def test_endo_algebra_records_composition(self):
-        alg = endo_algebra(ALGS["2_ang"])
-        assert "comp" in alg.signature.symbols()
-        assert "id" in alg.signature.symbols()
-        ident = alg.apply("id", ())
-        for e in range(alg.carrier.size):
-            assert alg.apply("comp", (ident, e)) == e
-            assert alg.apply("comp", (e, ident)) == e
+    @pytest.mark.parametrize("alg", FIN_ALGS, ids=lambda a: a.name)
+    def test_endos_match_brute_force(self, alg):
+        assert [e.table for e in endomorphisms(alg).maps] == brute_force_endos(alg)
+
+    def test_chain_keeps_six_of_ten_monotone_maps(self):
+        alg = _chain_algebra()
+        assert len(enumerate_monotone(alg.carrier, alg.carrier)) == 10
+        assert len(brute_force_endos(alg)) == 6
+
+    @pytest.mark.parametrize("alg", FIN_ALGS, ids=lambda a: a.name)
+    def test_endo_order_is_the_restricted_pointwise_order(self, alg):
+        expo = enumerate_monotone(alg.carrier, alg.carrier)
+        hom_idx = [i for i, m in enumerate(expo.maps) if is_homomorphism(m, alg, alg)]
+        assert endomorphisms(alg).poset == sub_poset(expo.poset, hom_idx)
 
 
 class TestModuleAxioms:
@@ -342,10 +366,11 @@ class TestModuleAxioms:
         )
         assert report.passed, report.as_record()
 
-    def test_identity_only_action(self):
-        alg = ALGS["2_ang"]
-        action = map_action(alg, endos=[identity_map(alg.carrier)])
-        assert check_module_axioms(action, alg).passed
+    @pytest.mark.parametrize("name", ["2_ang", "2_dem", "frame2", "lattice2"])
+    def test_map_action_satisfies_axioms(self, name):
+        alg = ALGS[name]
+        report = check_module_axioms(map_action(alg), alg)
+        assert report.passed, report.as_record()
 
     def test_shifted_action_fails(self):
         alg = ALGS["rplus"]

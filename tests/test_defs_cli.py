@@ -394,6 +394,23 @@ def test_verify_suite_refuses_too_small_catalog(value):
     assert proc.stderr == "error: --catalog-max must be at least 2\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "--entropic", "rplus", "--trials", "-5"],
+        ["valuation", "mu", "-f", "{defs}", "--trials", "-3"],
+        ["verify-suite", "--trials", "-1"],
+    ],
+)
+def test_negative_trials_are_refused(argv, tmp_path):
+    defs = tmp_path / "sample.defs"
+    defs.write_text(SAMPLE, encoding="utf-8")
+    proc = run_cli([arg.format(defs=defs) for arg in argv])
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == "error: --trials must be at least 0\n"
+
+
 def test_valuation_and_envelopes_share_one_namespace(tmp_path):
     defs = tmp_path / "clash.defs"
     defs.write_text(
