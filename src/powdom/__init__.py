@@ -44,7 +44,6 @@ from .powerdomain import (
     SimpleValuation,
     SubFn,
     SupFn,
-    cone_combine,
     dirac,
     domination_check,
     hoare_powerdomain,

@@ -118,6 +118,24 @@ def rplus_semiring() -> RatAlgebra:
     )
 
 
+def rplus_cone() -> RatAlgebra:
+    """Cone structure alone, every op tagged EQ.
+
+    Its homomorphisms out of predicate algebras are the linear functionals,
+    the simple valuations among them.
+    """
+    sig = Signature(
+        (
+            OpSpec("add", 2, OpTag.EQ),
+            OpSpec("scale", 1, OpTag.EQ, parametric=True),
+            OpSpec("zero", 0, OpTag.EQ),
+        )
+    )
+    return RatAlgebra(
+        "rplus_cone", sig, {"add": lambda a, b: a + b, "scale": _scale, "zero": lambda: ZERO}
+    )
+
+
 def rplus_max() -> RatAlgebra:
     """Cone structure plus binary max, tagged for the mixed angelic laws.
 
@@ -188,6 +206,7 @@ def _builtin_algebra_instances() -> dict:
         "lattice2": frame_two("lattice2"),
         "rplus": rplus_monoid(),
         "rplus_semiring": rplus_semiring(),
+        "rplus_cone": rplus_cone(),
         "rplus_max": rplus_max(),
         "rplus_min": rplus_min(),
     }

@@ -24,21 +24,20 @@ from .algebra import (
     is_relaxed_entropic,
     is_relaxed_morphism,
 )
-from .catalog import catalog_valuations
+from .catalog import builtin_algebras, catalog_valuations
 from .defs import load_workspace, ptransformer_literal, transformer_literal
 from .errors import PowdomError, SizeGuardExceeded, UnknownName
 from .monad import functional_space, p_transform, q_transform
 from .powerdomain import (
     SET_POWERDOMAINS,
+    PredAlgebra,
     check_linear_side,
-    chi,
     dirac,
     domination_check,
-    linearity_failures,
     sobrification,
     valuation_leq,
 )
-from .poset import all_up_sets, sub_poset
+from .poset import sub_poset
 from .report import Report
 from .sampling import (
     DEFAULT_SEED,
@@ -176,9 +175,15 @@ def _valuation_powerdomain(args, poset, report):
         if valuation_leq(diracs[i], diracs[j], args.size_guard) != poset.leq[i][j]
     )
     report.add(first_failure("valuations:point-evaluations-embed", misordered))
-    chis = [chi(u) for u in all_up_sets(poset, args.size_guard)]
-    failures = linearity_failures(catalog_valuations(poset), chis, chis)
-    report.add(first_failure("valuations:simple-valuations-linear", failures))
+    # each valuation a homomorphism into the cone, over the grid alone
+    cone = builtin_algebras()["rplus_cone"]
+    preds = PredAlgebra(cone, poset, args.size_guard)
+    nonlinear = (
+        {"mu": mu.literal(), **check.witness}
+        for mu in catalog_valuations(poset)
+        if not (check := is_homomorphism(mu, preds, cone))
+    )
+    report.add(first_failure("valuations:simple-valuations-linear", nonlinear))
     return {"points": [d.literal() for d in diracs], "count": len(diracs)}
 
 
@@ -312,6 +317,9 @@ def main(argv=None) -> int:
         return 2
     if args.trials < 0:
         print("error: --trials must be at least 0", file=sys.stderr)
+        return 2
+    if args.size_guard < 1:
+        print("error: --size-guard must be at least 1", file=sys.stderr)
         return 2
 
     command_echo = _command_echo(argv if argv is not None else sys.argv[1:])

@@ -26,7 +26,9 @@ from typing import Callable, ClassVar
 from .algebra import (
     CheckOutcome,
     FinAlgebra,
+    OpSpec,
     OpTag,
+    Signature,
     first_failure,
     is_homomorphism,
     is_relaxed_morphism,
@@ -40,7 +42,6 @@ from .sampling import (
     DEFAULT_SIZE_GUARD,
     DEFAULT_TRIALS,
     SAMPLED,
-    SCALAR_GRID,
     random_monotone_values,
     task_rng,
     two_phase,
@@ -90,27 +91,14 @@ def chi(up_set: ElemSet) -> Predicate:
     )
 
 
-def pred_add(f: Predicate, g: Predicate) -> Predicate:
-    _same_poset(f, g)
-    return Predicate(f.poset, tuple(a + b for a, b in zip(f.values, g.values)))
-
-
-def pred_scale(r: ExtNN, f: Predicate) -> Predicate:
-    return Predicate(f.poset, tuple(r * v for v in f.values))
-
-
 def pred_leq(f: Predicate, g: Predicate) -> bool:
-    _same_poset(f, g)
+    if f.poset != g.poset:
+        raise TypeMismatch("operands live over different posets")
     return all(a <= b for a, b in zip(f.values, g.values))
 
 
 def random_predicate(poset: FinPoset, rng) -> Predicate:
     return Predicate(poset, random_monotone_values(poset, rng))
-
-
-def _same_poset(f, g):
-    if f.poset != g.poset:
-        raise TypeMismatch("operands live over different posets")
 
 
 class PredAlgebra:
@@ -254,11 +242,6 @@ def dirac(poset: FinPoset, point: int) -> SimpleValuation:
     return SimpleValuation(poset, ((ONE, point),))
 
 
-def cone_combine(a: ExtNN, mu: SimpleValuation, b: ExtNN, nu: SimpleValuation) -> SimpleValuation:
-    """Canonical form of a*mu + b*nu."""
-    return mu.scale(a).add(nu.scale(b))
-
-
 def valuation_leq(mu: SimpleValuation, nu: SimpleValuation, size_guard: int = DEFAULT_SIZE_GUARD) -> bool:
     """Pointwise domination on all predicates, via the layer-cake reduction."""
     if mu.poset != nu.poset:
@@ -266,28 +249,33 @@ def valuation_leq(mu: SimpleValuation, nu: SimpleValuation, size_guard: int = DE
     return all(mu(f) <= nu(f) for f in map(chi, all_up_sets(mu.poset, size_guard)))
 
 
-def linearity_failures(vals, pairs_over, scaled_over):
-    """Witnesses, in check order, that a valuation in the sequence ``vals``
-    is not additive on a pair drawn from ``pairs_over`` or not homogeneous
-    over the scalar grid on a predicate in ``scaled_over``.
+@dataclass(frozen=True)
+class ValuationAlgebra:
+    """Simple valuations over one poset with ``add`` and ``zero``, the carrier
+    the scalars act on in the cone laws.  Grid tuples run over ``vals`` and
+    samples draw from it; values compare by their canonical atoms."""
 
-    The walk is predicate-major, so each derived predicate is built once and
-    memory stays constant: for each pair (f, g) its sum, then every
-    valuation; then for each f its scaled predicates r f over the grid, then
-    every valuation on all of them.
-    """
-    for f, g in itertools.product(pairs_over, repeat=2):
-        h = pred_add(f, g)
-        for mu in vals:
-            if mu(h) != mu(f) + mu(g):
-                yield {"mu": mu.literal(), "f": f.literal(), "g": g.literal()}
-    for f in scaled_over:
-        scaled = [(r, pred_scale(r, f)) for r in SCALAR_GRID]
-        for mu in vals:
-            at_f = mu(f)
-            for r, h in scaled:
-                if mu(h) != r * at_f:
-                    yield {"mu": mu.literal(), "r": str(r), "f": f.literal()}
+    poset: FinPoset
+    vals: tuple
+    mode: ClassVar[str] = SAMPLED
+    signature: ClassVar[Signature] = Signature((OpSpec("add", 2), OpSpec("zero", 0)))
+
+    def apply(self, symbol, args, param=None):
+        if symbol == "add":
+            return args[0].add(args[1])
+        return SimpleValuation(self.poset, ())
+
+    def eq(self, a, b) -> bool:
+        return a.atoms == b.atoms
+
+    def value_str(self, a) -> str:
+        return a.literal()
+
+    def grid_tuples(self, nvars):
+        return itertools.product(self.vals, repeat=nvars)
+
+    def sample_tuple(self, nvars, rng):
+        return tuple(rng.choice(self.vals) for _ in range(nvars))
 
 
 @dataclass(frozen=True)

@@ -16,12 +16,14 @@ by their literals, transformers by their tables); later ones go unchecked.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
 from . import catalog
 from .algebra import (
     CheckOutcome,
+    EndoAction,
     FinAlgebra,
     OpSpec,
     OpTag,
@@ -39,7 +41,7 @@ from .algebra import (
     scalar_action,
     subcommutes,
 )
-from .extnum import ONE, ZERO
+from .extnum import ONE, ZERO, enn_mul
 from .funcspace import MonoMap, compose, enumerate_monotone, precompose
 from .monad import (
     all_predicate_transformers,
@@ -55,10 +57,8 @@ from .powerdomain import (
     ENVELOPES,
     SET_POWERDOMAINS,
     check_linear_side,
-    chi,
-    cone_combine,
-    linearity_failures,
-    pred_add,
+    PredAlgebra,
+    ValuationAlgebra,
     random_predicate,
     sobrification,
     valuation_leq,
@@ -484,27 +484,27 @@ def check_powerdomains(cfg: SuiteConfig):
 
 
 def check_valuations(cfg: SuiteConfig):
-    # each poset's valuations and up-set characteristics, shared by the laws
+    algs = catalog.builtin_algebras()
+    cone, rplus = algs["rplus_cone"], algs["rplus"]
+    # each poset's valuations and its predicates over the cone, shared by the laws
     inputs = [
-        (name, poset, catalog.catalog_valuations(poset), [chi(u) for u in all_up_sets(poset, cfg.size_guard)])
+        (name, poset, catalog.catalog_valuations(poset), PredAlgebra(cone, poset, cfg.size_guard))
         for name, poset in cfg.posets().items()
     ]
 
+    # each valuation a homomorphism from the predicates into the cone, on its
+    # own stream; the sampled phase is capped per valuation and op
     def nonlinear():
-        for name, poset, vals, chis in inputs:
-            rng = cfg.rng(f"valuation.linearity.{name}")
-            preds = list(two_phase(chis, lambda: random_predicate(poset, rng), 1000))
-            for witness in linearity_failures(vals, chis, preds):
-                yield {"poset": name, **witness}
-            for f, g in zip(preds[::2], preds[1::2]):
-                h = pred_add(f, g)
-                for mu in vals[:4]:
-                    if mu(h) != mu(f) + mu(g):
-                        yield {"poset": name, "mu": mu.literal(), "f": f.literal(), "g": g.literal()}
+        for name, _, vals, preds in inputs:
+            for i, mu in enumerate(vals):
+                rng = cfg.rng(f"valuation.linear.{name}.{i}")
+                check = is_homomorphism(mu, preds, cone, rng, min(cfg.trials, 100))
+                if not check.passed:
+                    yield {"poset": name, "mu": mu.literal(), **check.witness}
 
     # layer-cake order oracle vs pointwise sampling
     def disagreements():
-        for name, poset, vals, chis in inputs:
+        for name, poset, vals, preds in inputs:
             rng = cfg.rng(f"valuation.order.{name}")
             sample = [random_predicate(poset, rng) for _ in range(1000)]
             for mu, nu in itertools.product(vals, repeat=2):
@@ -513,48 +513,27 @@ def check_valuations(cfg: SuiteConfig):
                     for f in sample:
                         if not mu(f) <= nu(f):
                             yield {**at, "oracle": "below", "f": f.literal()}
-                elif all(mu(c) <= nu(c) for c in chis):
+                elif all(mu(c) <= nu(c) for c in preds.chis):
                     yield {**at, "oracle": "not below"}
 
-    # cone laws in canonical form, each evaluated once per tuple of the values
-    # it depends on; the witnesses keep the (mu, nu, r, s, law) walk order, so
-    # sharing the evaluations does not change which failure is reported first
+    # the cone laws are the module axioms of the scalars acting by scale on
+    # the first five valuations and their sums; each r mu is built once
     def cone_failures():
-        for name, poset, vals, chis in inputs:
+        for name, poset, vals, _ in inputs:
+            action = EndoAction(
+                grid_endos=SCALAR_GRID,
+                identity=ONE,
+                compose=enn_mul,
+                op_on_endos=rplus.apply,
+                act=functools.cache(lambda r, mu: mu.scale(r)),
+                sample_endo=random_extnn,
+            )
+            algebra = ValuationAlgebra(poset, tuple(vals[:5]))
             rng = cfg.rng(f"valuation.cone.{name}")
-            scalars = list(two_phase(SCALAR_GRID, lambda: random_extnn(rng), 10 - len(SCALAR_GRID)))
-            pairs = list(itertools.product(scalars, repeat=2))
-            vals = vals[:5]
-            scaled = {}  # c mu once per (mu, c), for the scalars, their sums and products
+            module = check_module_axioms(action, algebra, rng, min(cfg.trials, 100))
+            for axiom in module.witnesses():
+                yield {"poset": name, "axiom": axiom.name, **axiom.witness}
 
-            def scale(i, c):
-                if (i, c) not in scaled:
-                    scaled[i, c] = vals[i].scale(c)
-                return scaled[i, c]
-
-            for i, mu in enumerate(vals):
-                # the laws in (mu, r, s) alone, as the failing indices into pairs
-                regrouped = {k for k, (r, s) in enumerate(pairs) if scale(i, r).scale(s).atoms != scale(i, r * s).atoms}
-                summed = {k for k, (r, s) in enumerate(pairs) if scale(i, r).add(scale(i, s)).atoms != scale(i, r + s).atoms}
-                for j, nu in enumerate(vals):
-                    at = {"poset": name, "mu": mu.literal(), "nu": nu.literal()}
-                    if cone_combine(ONE, mu, ZERO, nu).atoms != mu.atoms:
-                        yield {**at, "law": "1 mu + 0 nu = mu"}
-                    total = mu.add(nu)
-                    spread = {r for r in set(scalars) if scale(i, r).add(scale(j, r)).atoms != total.scale(r).atoms}
-                    if regrouped or spread or summed:
-                        for k, (r, s) in enumerate(pairs):
-                            rs = {**at, "r": str(r), "s": str(s)}
-                            if k in regrouped:
-                                yield {**rs, "law": "s (r mu) = (r s) mu"}
-                            if r in spread:
-                                yield {**rs, "law": "r mu + r nu = r (mu + nu)"}
-                            if k in summed:
-                                yield {**rs, "law": "r mu + s mu = (r + s) mu"}
-                    if scale(i, ZERO).atoms != ():
-                        yield {**at, "law": "0 mu = 0"}
-
-    rplus = catalog.builtin_algebras()["rplus"]
     module = check_module_axioms(
         scalar_action(rplus), rplus, cfg.rng("valuation.module"), min(cfg.trials, 2000)
     )

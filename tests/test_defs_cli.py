@@ -411,6 +411,29 @@ def test_negative_trials_are_refused(argv, tmp_path):
     assert proc.stderr == "error: --trials must be at least 0\n"
 
 
+@pytest.mark.parametrize("value", ["-1", "0"])
+def test_size_guard_below_one_is_refused(value):
+    proc = run_cli(["homs", "A2", "2_ang", "--size-guard", value])
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == "error: --size-guard must be at least 1\n"
+
+
+@pytest.mark.parametrize(
+    "poset, digest",
+    [
+        ("C2", "4df0acee757e566acef13810d5197a2f2e6af934185e2adbbc522b4b0c56876c"),
+        ("vee", "f33b3a0d6c0b5270257821d157b207683aa09da3ea7072dfbf7f2de06dcd6f39"),
+    ],
+)
+def test_valuation_powerdomain_report_bytes_are_pinned(poset, digest, tmp_path, capsys):
+    # the point evaluations and the linearity of every catalog valuation
+    out = tmp_path / "out.json"
+    assert main(["powerdomain", "valuations", poset, "--json", str(out)]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
 def test_valuation_and_envelopes_share_one_namespace(tmp_path):
     defs = tmp_path / "clash.defs"
     defs.write_text(

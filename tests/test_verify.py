@@ -239,24 +239,25 @@ def test_transformer_correspondence_witness_names_the_unmatched_transformer(monk
 
 
 def test_cone_witness_names_the_faulty_combination(monkeypatch):
+    # 1 mu comes back as mu + nu for one pair; the identity axiom names mu
+    from powdom.powerdomain import SimpleValuation
+
     import powdom.verify as verify_mod
 
     c2 = catalog.builtin_posets()["C2"]
     vals = catalog.catalog_valuations(c2)
     mu, nu = vals[1], vals[2]
-    real_combine = verify_mod.cone_combine
+    real_scale = SimpleValuation.scale
 
-    def faulty(a, m, b, n):
-        if (a, m, b, n) == (ONE, mu, ZERO, nu):
-            return m.add(n)
-        return real_combine(a, m, b, n)
+    def faulty(m, r):
+        return m.add(nu) if (m, r) == (mu, ONE) else real_scale(m, r)
 
-    monkeypatch.setattr(verify_mod, "cone_combine", faulty)
+    monkeypatch.setattr(SimpleValuation, "scale", faulty)
     outcome = record(verify_mod.check_valuations(CFG), "valuation.cone-laws")
     assert outcome.witness == {
-        "poset": "C2", "mu": mu.literal(), "nu": nu.literal(), "law": "1 mu + 0 nu = mu"
+        "poset": "C2", "axiom": "ax1:identity", "x": mu.literal(), "got": mu.add(nu).literal()
     }
-    assert faulty(ONE, mu, ZERO, nu).atoms != mu.atoms
+    assert faulty(mu, ONE).atoms != mu.atoms
 
 
 def test_mixed_witness_names_the_faulty_envelope(monkeypatch):
@@ -357,41 +358,40 @@ def test_interchange_symmetry_witness_names_the_lying_pair(monkeypatch):
     assert outcome.witness == {"algebra": "rplus_semiring", "sigma": sigma, "omega": omega}
 
 
-def test_valuation_laws_scale_each_predicate_once(monkeypatch):
+def test_valuation_linear_draws_a_capped_budget(monkeypatch):
+    # each valuation draws at most 100 samples per op: two predicates for add,
+    # one for scale, none for zero; uncapped at the default config, 58
+    # valuations would draw 3 x 10,000 each, about 1.7 million
     from powdom import powerdomain
-    from powdom.poset import all_up_sets
-    from powdom.sampling import SCALAR_GRID
 
     import powdom.verify as verify_mod
 
-    built = {}
-    kept = []  # the predicates stay alive so that their ids stay theirs
-    real_scale = powerdomain.pred_scale
+    drawn = [0]
+    real_draw = powerdomain.random_predicate
 
-    def spy(r, f):
-        kept.append(f)
-        key = (r, id(f))
-        built[key] = built.get(key, 0) + 1
-        return real_scale(r, f)
+    def spy(poset, rng):
+        drawn[0] += 1
+        return real_draw(poset, rng)
 
-    monkeypatch.setattr(powerdomain, "pred_scale", spy)
-    cfg = SuiteConfig(seed=42, trials=100, catalog_max=2)
-    checks = verify_mod.check_valuations(cfg)
-    assert all(c.passed for c in checks)
-    assert max(built.values()) == 1
-    # the up-set characteristics and 1000 sampled predicates per poset, each
-    # scaled by every grid scalar
-    preds = sum(len(all_up_sets(p)) + 1000 for p in cfg.posets().values())
-    assert len(built) == len(SCALAR_GRID) * preds == 21063
+    monkeypatch.setattr(powerdomain, "random_predicate", spy)
+    for trials in (100, 10_000):
+        drawn[0] = 0
+        cfg = SuiteConfig(seed=42, trials=trials, catalog_max=2)
+        checks = verify_mod.check_valuations(cfg)
+        assert all(c.passed for c in checks)
+        vals = sum(len(catalog.catalog_valuations(p)) for p in cfg.posets().values())
+        assert drawn[0] == vals * 3 * 100 == 4200
 
 
 def test_linearity_witness_names_the_faulty_scaled_predicate(monkeypatch):
-    from powdom.powerdomain import SimpleValuation, chi, linearity_failures
+    from powdom.algebra import is_homomorphism
+    from powdom.powerdomain import PredAlgebra, SimpleValuation, chi
     from powdom.poset import all_up_sets
 
     import powdom.verify as verify_mod
 
     c2 = catalog.builtin_posets()["C2"]
+    cone = catalog.builtin_algebras()["rplus_cone"]
     mu = catalog.catalog_valuations(c2)[1]  # the point evaluation at the top
     (f,) = [g for g in map(chi, all_up_sets(c2)) if g.values == (ZERO, ONE)]
     r = ExtNN(Fraction(1, 2))
@@ -404,9 +404,43 @@ def test_linearity_witness_names_the_faulty_scaled_predicate(monkeypatch):
 
     monkeypatch.setattr(SimpleValuation, "__call__", faulty)
     outcome = record(verify_mod.check_valuations(CFG), "valuation.linear")
-    witness = {"mu": mu.literal(), "r": str(r), "f": f.literal()}
-    assert outcome.witness == {"poset": "C2", **witness}
-    assert next(linearity_failures([mu], [], [f])) == witness
+    witness = {
+        "op": "scale", "relation": "=", "args": [f.literal()], "param": "1/2", "lhs": "3/2", "rhs": "1/2"
+    }
+    assert outcome.witness == {"poset": "C2", "mu": mu.literal(), **witness}
+    # the grid alone finds it, as powerdomain valuations does
+    assert is_homomorphism(mu, PredAlgebra(cone, c2), cone).witness == witness
+
+
+def test_linearity_checks_the_zero_op(monkeypatch):
+    # mu nonzero on the zero predicate.  A fault on the values alone would
+    # already break add on (chi{}, chi{}) or scale at 0, so this one keys on
+    # the predicate object that the zero op builds, which only zero evaluates
+    from powdom.powerdomain import PredAlgebra, SimpleValuation
+
+    import powdom.verify as verify_mod
+
+    c2 = catalog.builtin_posets()["C2"]
+    mu = catalog.catalog_valuations(c2)[1]
+    zeros = []  # kept alive, so that their ids stay theirs
+    real_apply, real_call = PredAlgebra.apply, SimpleValuation.__call__
+
+    def apply(preds, symbol, args, param=None):
+        out = real_apply(preds, symbol, args, param)
+        if symbol == "zero":
+            zeros.append(out)
+        return out
+
+    def faulty(nu, f):
+        return ONE if nu == mu and any(f is z for z in zeros) else real_call(nu, f)
+
+    monkeypatch.setattr(PredAlgebra, "apply", apply)
+    monkeypatch.setattr(SimpleValuation, "__call__", faulty)
+    outcome = record(verify_mod.check_valuations(CFG), "valuation.linear")
+    assert outcome.witness == {
+        "poset": "C2", "mu": mu.literal(),
+        "op": "zero", "relation": "=", "args": [], "param": None, "lhs": "1", "rhs": "0",
+    }
 
 
 def test_cone_laws_build_each_valuation_once(monkeypatch):
@@ -424,25 +458,34 @@ def test_cone_laws_build_each_valuation_once(monkeypatch):
     monkeypatch.setattr(SimpleValuation, "__post_init__", spy)
     checks = verify_mod.check_valuations(SuiteConfig(trials=100, catalog_max=2))
     assert all(c.passed for c in checks)
-    # 65,033 when every law rebuilt its scaled and summed valuations
+    # 5,710 through the module-axiom walker; 65,033 when every law rebuilt
+    # its scaled and summed valuations
     assert built[0] <= 6287
 
 
 # a scale that drops the first atom of its result for one scalar, and the
-# first cone-law witness it gives; pinned from the walk that rebuilt every
-# valuation for every (mu, nu, r, s), so sharing the evaluations must not
-# change which failure is reported first
-C2_PAIR = {"poset": "C2", "mu": "val { 1 @ bot }", "nu": "val { 1 @ top }"}
-ONE_PAIR = {"poset": "one", "mu": "val { 1 @ pt }", "nu": "val { 1 @ pt }"}
+# first cone-law witness it gives: the first failing module axiom, in the
+# axioms' walk order, on the first poset where one fails
+C2_SUM = "val { 1/2 @ bot; 1/3 @ top }"
+ONE_PT = "val { 1 @ pt }"
 
 
 @pytest.mark.parametrize(
     "scalar, min_atoms, witness",
     [
-        (ExtNN(Fraction(1, 2)), 2, {**C2_PAIR, "r": "1/2", "s": "0", "law": "r mu + r nu = r (mu + nu)"}),
-        (ExtNN(Fraction(1, 2)), 1, {**ONE_PAIR, "r": "1/3", "s": "1/2", "law": "s (r mu) = (r s) mu"}),
-        (INF, 1, {**ONE_PAIR, "r": "1/3", "s": "inf", "law": "r mu + s mu = (r + s) mu"}),
-        (ONE, 1, {**ONE_PAIR, "law": "1 mu + 0 nu = mu"}),
+        (ExtNN(Fraction(1, 2)), 2, {
+            "poset": "C2", "axiom": "ax2:composition", "endos": ["1/3", "1/2"], "x": C2_SUM,
+            "lhs": "val { 1/12 @ bot; 1/18 @ top }", "rhs": "val { 1/18 @ top }",
+        }),
+        (ExtNN(Fraction(1, 2)), 1, {
+            "poset": "one", "axiom": "ax2:composition", "endos": ["1/3", "1/2"], "x": ONE_PT,
+            "lhs": "val { 1/6 @ pt }", "rhs": "val {  }",
+        }),
+        (INF, 1, {
+            "poset": "one", "axiom": "ax3:ops-pointwise:add", "op": "add", "param": None,
+            "endos": ["1/3", "inf"], "x": ONE_PT, "lhs": "val {  }", "rhs": "val { 1/3 @ pt }",
+        }),
+        (ONE, 1, {"poset": "one", "axiom": "ax1:identity", "x": ONE_PT, "got": "val {  }"}),
     ],
     ids=["half-on-sums", "half", "inf", "one"],
 )
