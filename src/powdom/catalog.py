@@ -26,6 +26,16 @@ TWO = FinPoset(("0", "1"), ((True, True), (False, True)))
 
 
 def builtin_posets() -> dict:
+    """The built-in posets by name, in a new dict on every call.
+
+    The posets are built and validated once per process, on first use;
+    editing the returned dict does not reach later callers.
+    """
+    return dict(_builtin_poset_instances())
+
+
+@cache
+def _builtin_poset_instances() -> dict:
     c2 = poset_from_cover(("bot", "top"), (("bot", "top"),))
     return {
         "one": poset_from_cover(("pt",), ()),

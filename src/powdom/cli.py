@@ -193,11 +193,8 @@ def _cmd_family(args, ws, report, family):
     if not isinstance(algebra, FinAlgebra):
         raise UnknownName("functional families need a finite observation algebra")
     space = functional_space(poset, algebra, args.size_guard)
-    indices = {
-        "homs": space.hom_indices,
-        "free": space.free_indices,
-        "relaxed": space.relaxed_indices,
-    }[family]
+    # each family filter runs only when its property is read
+    indices = getattr(space, "hom_indices" if family == "homs" else f"{family}_indices")
     report.payload["family"] = family
     report.payload["poset"] = args.poset
     report.payload["algebra"] = algebra.name

@@ -57,51 +57,68 @@ from .sampling import DEFAULT_SIZE_GUARD
 _TOKEN = re.compile(r"\|->|->|[{}();,:@\[\]]|[^\s{}();,:@\[\]]+")
 
 
-@dataclass
-class _Tok:
-    text: str
-    line: int
-
-
 class _Lexer:
+    """The tokens of a file as two parallel lists, texts and line numbers;
+    ``line`` is the line of the last token read."""
+
     def __init__(self, path, text):
         self.path = path
-        self.toks = []
+        self.texts, self.lines = [], []
         for lineno, line in enumerate(text.splitlines(), start=1):
-            body = line.split("#", 1)[0]
-            for m in _TOKEN.finditer(body):
-                self.toks.append(_Tok(m.group(0), lineno))
+            found = _TOKEN.findall(line.split("#", 1)[0])
+            self.texts += found
+            self.lines += [lineno] * len(found)
         self.pos = 0
+        self.line = 0
 
     def peek(self):
-        return self.toks[self.pos] if self.pos < len(self.toks) else None
+        return self.texts[self.pos] if self.pos < len(self.texts) else None
 
     def next(self, expect=None):
-        tok = self.peek()
-        if tok is None:
-            raise ParseError(self.path, self.toks[-1].line if self.toks else 0, "unexpected end of file")
+        if self.pos == len(self.texts):
+            raise self.error("unexpected end of file")
+        text = self.texts[self.pos]
+        self.line = self.lines[self.pos]
         self.pos += 1
-        if expect is not None and tok.text != expect:
-            raise ParseError(self.path, tok.line, f"expected {expect!r}, found {tok.text!r}")
-        return tok
+        if expect is not None and text != expect:
+            raise self.error(f"expected {expect!r}, found {text!r}")
+        return text
 
-    def error(self, tok, message):
-        return ParseError(self.path, tok.line if tok else 0, message)
+    def rest_of_line(self):
+        """The tokens left on the line of the last token read."""
+        start = self.pos
+        while self.pos < len(self.lines) and self.lines[self.pos] == self.line:
+            self.pos += 1
+        return self.texts[start:self.pos]
+
+    def element(self, poset: FinPoset) -> int:
+        """The index in ``poset`` of the label that is the next token."""
+        label = self.next()
+        return _built(self, self.line, poset.index, label)
+
+    def error(self, message, line=None):
+        return ParseError(self.path, self.line if line is None else line, message)
 
     def entries(self, what):
-        """Walk a ``{ entry; entry; ... }`` body, yielding each entry's first
-        token unconsumed; the caller parses the entry.  Separators are optional."""
+        """Walk a ``{ entry; entry; ... }`` body, yielding the line of each
+        entry's first token, unconsumed; the caller parses the entry.
+        Separators are optional."""
         self.next("{")
-        while True:
-            tok = self.peek()
-            if tok is None:
-                raise self.error(tok, f"unterminated {what} body")
-            if tok.text == "}":
+        while (text := self.peek()) != "}":
+            if text is None:
+                raise self.error(f"unterminated {what} body")
+            yield self.lines[self.pos]
+            if self.peek() == ";":
                 self.next()
-                return
-            yield tok
-            if self.peek() is not None and self.peek().text == ";":
-                self.next()
+        self.next()
+
+
+def _built(lex: _Lexer, line, build, *args):
+    """``build(*args)``, with any PowdomError it raises located at ``line``."""
+    try:
+        return build(*args)
+    except PowdomError as exc:
+        raise ParseError(lex.path, line, str(exc)) from None
 
 
 @dataclass
@@ -170,17 +187,16 @@ class Workspace:
 
     def load_file(self, path):
         with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-        self.load_text(path, text)
+            self.load_text(path, fh.read())
 
     def load_text(self, path, text):
         lex = _Lexer(path, text)
         while lex.peek() is not None:
-            tok = lex.next()
-            handler = _STATEMENTS.get(tok.text)
+            keyword = lex.next()
+            handler = _STATEMENTS.get(keyword)
             if handler is None:
-                raise lex.error(tok, f"unknown statement {tok.text!r}")
-            handler(self, lex, tok)
+                raise lex.error(f"unknown statement {keyword!r}")
+            handler(self, lex, lex.line)
 
 
 def load_workspace(paths, size_guard: int = DEFAULT_SIZE_GUARD) -> Workspace:
@@ -191,46 +207,66 @@ def load_workspace(paths, size_guard: int = DEFAULT_SIZE_GUARD) -> Workspace:
 
 
 # ---------------------------------------------------------------------------
-# statement parsers
+# statement parsers, each given the line of its keyword
 
 
-def _parse_poset(ws: Workspace, lex: _Lexer, kw):
-    name = lex.next().text
-    labels = []
-    covers = []
-    while True:
-        tok = lex.next()
-        if tok.text == "end":
-            break
-        if tok.text == "elems":
-            line = tok.line
-            while lex.peek() is not None and lex.peek().line == line:
-                labels.append(lex.next().text)
-        elif tok.text == "le":
-            low = lex.next().text
-            high = lex.next().text
-            covers.append((low, high))
+def _parse_arrow(ws: Workspace, lex: _Lexer):
+    """``NAME : X -> Y``, as the name and the posets X and Y."""
+    name = lex.next()
+    lex.next(":")
+    source = ws.poset(lex.next())
+    lex.next("->")
+    return name, source, ws.poset(lex.next())
+
+
+def _parse_on(ws: Workspace, lex: _Lexer, opener):
+    """``NAME on P <opener>``, as the name and the poset P."""
+    name = lex.next()
+    lex.next("on")
+    poset = ws.poset(lex.next())
+    lex.next(opener)
+    return name, poset
+
+
+def _parse_indices(lex: _Lexer, carrier: FinPoset, opener, closer) -> tuple:
+    """A tuple of carrier labels between ``opener`` and ``closer``, as indices."""
+    lex.next(opener)
+    indices = []
+    while (text := lex.next()) != closer:
+        if text != ",":
+            indices.append(_built(lex, lex.line, carrier.index, text))
+    return tuple(indices)
+
+
+def _parse_poset(ws: Workspace, lex: _Lexer, line):
+    name = lex.next()
+    labels, covers = [], []
+    while (word := lex.next()) != "end":
+        if word == "elems":
+            labels += lex.rest_of_line()
+        elif word == "le":
+            covers.append((lex.next(), lex.next()))
         else:
-            raise lex.error(tok, f"expected 'elems', 'le' or 'end', found {tok.text!r}")
+            raise lex.error(f"expected 'elems', 'le' or 'end', found {word!r}")
+    poset = _built(lex, line, poset_from_cover, labels, covers)
+    ws.define(ws.posets, "poset", name, poset, lex.path, line)
+
+
+def _parse_literal(lex: _Lexer, parse, message):
+    """``parse`` of the next token; ``message`` formats a token it refuses."""
+    text = lex.next()
     try:
-        poset = poset_from_cover(labels, covers)
-    except PowdomError as exc:
-        raise ParseError(lex.path, kw.line, str(exc)) from None
-    ws.define(ws.posets, "poset", name, poset, lex.path, kw.line)
+        return parse(text)
+    except (ValueError, PowdomError):
+        raise lex.error(message.format(text)) from None
 
 
-def _parse_tag(lex, tok):
-    try:
-        return OpTag(tok.text)
-    except ValueError:
-        raise lex.error(tok, f"expected a tag LE, GE or EQ, found {tok.text!r}") from None
+def _parse_tag(lex: _Lexer) -> OpTag:
+    return _parse_literal(lex, OpTag, "expected a tag LE, GE or EQ, found {!r}")
 
 
-def _parse_extnn(lex, tok) -> ExtNN:
-    try:
-        return ExtNN.parse(tok.text)
-    except PowdomError:
-        raise lex.error(tok, f"bad numeric literal {tok.text!r}") from None
+def _parse_extnn(lex: _Lexer) -> ExtNN:
+    return _parse_literal(lex, ExtNN.parse, "bad numeric literal {!r}")
 
 
 _BUILTIN_OPS = {
@@ -241,274 +277,195 @@ _BUILTIN_OPS = {
 }
 
 
-def _parse_algebra(ws: Workspace, lex: _Lexer, kw):
-    name = lex.next().text
+def _parse_algebra(ws: Workspace, lex: _Lexer, line):
+    name = lex.next()
     lex.next("on")
-    carrier_tok = lex.next()
-    on_extnn = carrier_tok.text == "extnn"
-    carrier = None if on_extnn else ws.poset(carrier_tok.text)
-    ops = []
-    tables = {}
-    builtins = {}
-    while True:
-        tok = lex.next()
-        if tok.text == "end":
-            break
-        if tok.text == "op":
-            sym = lex.next().text
+    carrier = lex.next()
+    carrier = None if carrier == "extnn" else ws.poset(carrier)
+    ops, tables, builtins = [], {}, {}
+    while (word := lex.next()) != "end":
+        if word == "op":
+            sym = lex.next()
             lex.next("arity")
-            arity_tok = lex.next()
-            if not arity_tok.text.isdigit():
-                raise lex.error(arity_tok, "arity must be a natural number")
+            arity = lex.next()
+            if not arity.isdecimal():
+                raise lex.error("arity must be a natural number")
             lex.next("tag")
-            tag = _parse_tag(lex, lex.next())
-            ops.append([sym, int(arity_tok.text), tag, False])
-        elif tok.text == "table":
-            sym = lex.next().text
-            tables[sym] = _parse_table_body(ws, lex, carrier, sym)
-        elif tok.text == "builtin":
-            sym = lex.next().text
+            ops.append((sym, int(arity), _parse_tag(lex)))
+        elif word == "table":
+            sym = lex.next()
+            if carrier is None:  # located at the token that opens the body
+                opener = lex.lines[lex.pos] if lex.peek() else 0
+                raise lex.error("tables need a finite carrier; use 'builtin' on extnn", opener)
+            table = tables[sym] = {}
+            for _ in lex.entries("table"):
+                args = _parse_indices(lex, carrier, "(", ")")
+                lex.next("->")
+                table[args] = lex.element(carrier)
+        elif word == "builtin":
+            sym = lex.next()
             kind = lex.next()
-            if kind.text in ("scale", "const"):
-                builtins[sym] = (kind.text, _parse_extnn(lex, lex.next()))
-            elif kind.text in _BUILTIN_OPS:
-                builtins[sym] = (kind.text, None)
+            if kind in ("scale", "const"):
+                builtins[sym] = (kind, _parse_extnn(lex))
+            elif kind in _BUILTIN_OPS:
+                builtins[sym] = (kind, None)
             else:
-                raise lex.error(kind, f"unknown builtin realisation {kind.text!r}")
+                raise lex.error(f"unknown builtin realisation {kind!r}")
         else:
-            raise lex.error(tok, f"expected 'op', 'table', 'builtin' or 'end'")
-    try:
-        algebra = _assemble_algebra(name, on_extnn, carrier, ops, tables, builtins)
-    except PowdomError as exc:
-        raise ParseError(lex.path, kw.line, str(exc)) from None
-    ws.define(ws.algebras, "algebra", name, algebra, lex.path, kw.line)
+            raise lex.error("expected 'op', 'table', 'builtin' or 'end'")
+    algebra = _built(lex, line, _assemble_algebra, name, carrier, ops, tables, builtins)
+    ws.define(ws.algebras, "algebra", name, algebra, lex.path, line)
 
 
-def _parse_table_body(ws, lex, carrier, sym):
-    if carrier is None:
-        raise lex.error(lex.peek(), "tables need a finite carrier; use 'builtin' on extnn")
-    table = {}
-    for _ in lex.entries("table"):
-        lex.next("(")
-        args = []
-        while lex.peek() is not None and lex.peek().text != ")":
-            t = lex.next()
-            if t.text == ",":
-                continue
-            args.append(carrier.index(t.text))
-        lex.next(")")
-        lex.next("->")
-        value = carrier.index(lex.next().text)
-        table[tuple(args)] = value
-    return table
-
-
-def _assemble_algebra(name, on_extnn, carrier, ops, tables, builtins):
-    declared = {sym for sym, _, _, _ in ops}
+def _assemble_algebra(name, carrier, ops, tables, builtins):
+    """A FinAlgebra on a finite carrier; on extnn (carrier None), a RatAlgebra."""
+    declared = {sym for sym, _, _ in ops}
     for sym in list(tables) + list(builtins):
         if sym not in declared:
             raise PowdomError(f"realisation for undeclared operation {sym!r}")
-    if on_extnn:
-        realisations = {}
-        specs = []
-        for sym, arity, tag, _ in ops:
-            if sym not in builtins:
-                raise PowdomError(f"operation {sym!r} has no builtin realisation")
-            kind, arg = builtins[sym]
-            if kind == "scale":
-                if arity != 1:
-                    raise PowdomError("scale realises a unary operation")
-                realisations[sym] = (lambda r: (lambda x, r=r: r * x))(arg)
-            elif kind == "const":
-                if arity != 0:
-                    raise PowdomError("const realises a nullary operation")
-                realisations[sym] = (lambda c: (lambda c=c: c))(arg)
-            else:
-                if arity != 2:
-                    raise PowdomError(f"builtin {kind} realises a binary operation")
-                realisations[sym] = _BUILTIN_OPS[kind]
-            specs.append(OpSpec(sym, arity, tag))
-        return RatAlgebra(name, Signature(tuple(specs)), realisations)
-    specs = tuple(OpSpec(sym, arity, tag) for sym, arity, tag, _ in ops)
-    return FinAlgebra(name, carrier, Signature(specs), tables)
+    specs = tuple(OpSpec(sym, arity, tag) for sym, arity, tag in ops)
+    if carrier is not None:
+        return FinAlgebra(name, carrier, Signature(specs), tables)
+    realisations = {}
+    for sym, arity, _ in ops:
+        if sym not in builtins:
+            raise PowdomError(f"operation {sym!r} has no builtin realisation")
+        kind, arg = builtins[sym]
+        if kind == "scale":
+            if arity != 1:
+                raise PowdomError("scale realises a unary operation")
+            realisations[sym] = lambda x, r=arg: r * x
+        elif kind == "const":
+            if arity != 0:
+                raise PowdomError("const realises a nullary operation")
+            realisations[sym] = lambda c=arg: c
+        else:
+            if arity != 2:
+                raise PowdomError(f"builtin {kind} realises a binary operation")
+            realisations[sym] = _BUILTIN_OPS[kind]
+    return RatAlgebra(name, Signature(specs), realisations)
 
 
-def _parse_map_body(ws, lex, source: FinPoset, target: FinPoset):
+def _parse_map_body(lex: _Lexer, source: FinPoset, target: FinPoset):
     table = [None] * source.size
     for _ in lex.entries("map"):
-        src = lex.next()
+        src, src_line = lex.next(), lex.line
         lex.next("|->")
-        dst = lex.next()
-        table[source.index(src.text)] = target.index(dst.text)
+        # the image first: of two unknown labels, the image's is reported
+        dst = lex.element(target)
+        table[_built(lex, src_line, source.index, src)] = dst
     missing = [source.labels[i] for i, v in enumerate(table) if v is None]
     if missing:
-        closing = lex.toks[lex.pos - 1]
-        raise lex.error(closing, f"map body misses elements {missing}")
+        raise lex.error(f"map body misses elements {missing}")
     return tuple(table)
 
 
-def _parse_map(ws: Workspace, lex: _Lexer, kw):
-    name = lex.next().text
-    lex.next(":")
-    source = ws.poset(lex.next().text)
-    lex.next("->")
-    target = ws.poset(lex.next().text)
-    table = _parse_map_body(ws, lex, source, target)
-    try:
-        mono = MonoMap(source, target, table)
-    except PowdomError as exc:
-        raise ParseError(lex.path, kw.line, str(exc)) from None
-    ws.define(ws.maps, "map", name, mono, lex.path, kw.line)
+def _parse_map(ws: Workspace, lex: _Lexer, line):
+    name, source, target = _parse_arrow(ws, lex)
+    table = _parse_map_body(lex, source, target)
+    mono = _built(lex, line, MonoMap, source, target, table)
+    ws.define(ws.maps, "map", name, mono, lex.path, line)
 
 
-def _parse_val_body(ws, lex, poset: FinPoset) -> SimpleValuation:
-    lex.next("val")
+def _parse_atoms(lex: _Lexer, poset: FinPoset) -> SimpleValuation:
+    """The ``{ weight @ x; ... }`` body of a valuation."""
     atoms = []
     for _ in lex.entries("valuation"):
-        weight = _parse_extnn(lex, lex.next())
+        weight = _parse_extnn(lex)
         lex.next("@")
-        point = poset.index(lex.next().text)
-        atoms.append((weight, point))
+        atoms.append((weight, lex.element(poset)))
     return SimpleValuation(poset, tuple(atoms))
 
 
-def _parse_valuation(ws: Workspace, lex: _Lexer, kw):
-    name = lex.next().text
-    lex.next("on")
-    poset = ws.poset(lex.next().text)
-    val = _parse_val_body(ws, lex, poset)
-    ws.define(ws.valuations, "valuation", name, val, lex.path, kw.line)
+def _parse_valuation(ws: Workspace, lex: _Lexer, line):
+    name, poset = _parse_on(ws, lex, "val")
+    val = _parse_atoms(lex, poset)
+    ws.define(ws.valuations, "valuation", name, val, lex.path, line)
 
 
-def _parse_envelope(envelope, ws: Workspace, lex: _Lexer, kw):
-    name = lex.next().text
-    lex.next("on")
-    poset = ws.poset(lex.next().text)
-    lex.next(envelope.side.opener)
-    comps = [_parse_val_body(ws, lex, poset) for _ in lex.entries("functional")]
-    try:
-        fn = envelope(tuple(comps))
-    except PowdomError as exc:
-        raise ParseError(lex.path, kw.line, str(exc)) from None
+def _parse_envelope(envelope, ws: Workspace, lex: _Lexer, line):
+    name, poset = _parse_on(ws, lex, envelope.side.opener)
+    comps = []
+    for _ in lex.entries("functional"):
+        lex.next("val")
+        comps.append(_parse_atoms(lex, poset))
+    fn = _built(lex, line, envelope, tuple(comps))
     keyword = envelope.side.keyword
-    ws.define(ws.envelopes[keyword], keyword, name, fn, lex.path, kw.line)
+    ws.define(ws.envelopes[keyword], keyword, name, fn, lex.path, line)
 
 
-def _parse_predicate(ws: Workspace, lex: _Lexer, kw):
-    name = lex.next().text
-    lex.next("on")
-    poset = ws.poset(lex.next().text)
-    lex.next("pred")
+def _parse_predicate(ws: Workspace, lex: _Lexer, line):
+    name, poset = _parse_on(ws, lex, "pred")
     values = [None] * poset.size
     for _ in lex.entries("predicate"):
-        elem = poset.index(lex.next().text)
+        elem = lex.element(poset)
         lex.next("->")
-        values[elem] = _parse_extnn(lex, lex.next())
+        values[elem] = _parse_extnn(lex)
     for i, v in enumerate(values):
         if v is None:
-            raise ParseError(lex.path, kw.line, f"predicate misses element {poset.labels[i]}")
-    try:
-        pred = Predicate(poset, tuple(values))
-    except PowdomError as exc:
-        raise ParseError(lex.path, kw.line, str(exc)) from None
-    ws.define(ws.predicates, "predicate", name, pred, lex.path, kw.line)
+            raise lex.error(f"predicate misses element {poset.labels[i]}", line)
+    pred = _built(lex, line, Predicate, poset, tuple(values))
+    ws.define(ws.predicates, "predicate", name, pred, lex.path, line)
 
 
-def _parse_value_tuple(ws, lex, carrier: FinPoset):
-    lex.next("[")
-    values = []
-    while True:
-        tok = lex.next()
-        if tok.text == "]":
-            break
-        if tok.text == ",":
-            continue
-        values.append(carrier.index(tok.text))
-    return tuple(values)
-
-
-def _parse_transformer(ws: Workspace, lex: _Lexer, kw):
-    name = lex.next().text
-    lex.next(":")
-    source = ws.poset(lex.next().text)
-    lex.next("->")
-    target = ws.poset(lex.next().text)
+def _parse_with(ws: Workspace, lex: _Lexer, line) -> FinAlgebra:
+    """``with ALGEBRA``; transformers need a finite one."""
     lex.next("with")
-    algebra = ws.algebra(lex.next().text)
+    algebra = ws.algebra(lex.next())
     if not isinstance(algebra, FinAlgebra):
-        raise ParseError(lex.path, kw.line, "transformers need a finite observation algebra")
+        raise lex.error("transformers need a finite observation algebra", line)
+    return algebra
+
+
+def _at_lines(lex: _Lexer):
+    """Walk ``at ...`` clauses up to ``end``, yielding the line of each ``at``."""
+    while (word := lex.next()) != "end":
+        if word != "at":
+            raise lex.error(f"expected 'at' or 'end', found {word!r}")
+        yield lex.line
+
+
+def _parse_transformer(ws: Workspace, lex: _Lexer, line):
+    name, source, target = _parse_arrow(ws, lex)
+    algebra = _parse_with(ws, lex, line)
     space = functional_space(target, algebra, ws.size_guard)
     table = [None] * source.size
-    while True:
-        tok = lex.next()
-        if tok.text == "end":
-            break
-        if tok.text != "at":
-            raise lex.error(tok, f"expected 'at' or 'end', found {tok.text!r}")
-        x = source.index(lex.next().text)
+    for at in _at_lines(lex):
+        x = lex.element(source)
         entries = {}
-        for t in lex.entries("functional"):
-            g = _parse_value_tuple(ws, lex, algebra.carrier)
+        for entry in lex.entries("functional"):
+            g = _parse_indices(lex, algebra.carrier, "[", "]")
             lex.next("->")
-            try:
-                g_idx = space.predicates.index(g)
-            except PowdomError as exc:
-                raise ParseError(lex.path, t.line, str(exc)) from None
-            entries[g_idx] = algebra.carrier.index(lex.next().text)
-        functional = tuple(
-            entries.get(i) for i in range(len(space.predicates))
-        )
+            g = _built(lex, entry, space.predicates.index, g)
+            entries[g] = lex.element(algebra.carrier)
+        functional = tuple(entries.get(i) for i in range(len(space.predicates)))
         if any(v is None for v in functional):
-            raise ParseError(
-                lex.path, tok.line, f"functional at {source.labels[x]} is not total"
-            )
-        try:
-            table[x] = space.space.index(functional)
-        except PowdomError as exc:
-            raise ParseError(lex.path, tok.line, str(exc)) from None
+            raise lex.error(f"functional at {source.labels[x]} is not total", at)
+        table[x] = _built(lex, at, space.space.index, functional)
     missing = [source.labels[i] for i, v in enumerate(table) if v is None]
     if missing:
-        raise ParseError(lex.path, kw.line, f"transformer misses elements {missing}")
-    try:
-        t = space.transformer(source, table)
-    except PowdomError as exc:
-        raise ParseError(lex.path, kw.line, str(exc)) from None
-    ws.define(ws.transformers, "transformer", name, t, lex.path, kw.line)
+        raise lex.error(f"transformer misses elements {missing}", line)
+    t = _built(lex, line, space.transformer, source, table)
+    ws.define(ws.transformers, "transformer", name, t, lex.path, line)
 
 
-def _parse_ptransformer(ws: Workspace, lex: _Lexer, kw):
-    name = lex.next().text
-    lex.next(":")
-    target_of_preds = ws.poset(lex.next().text)  # Y: predicates transformed from
-    lex.next("->")
-    source_of_preds = ws.poset(lex.next().text)  # X: predicates transformed to
-    lex.next("with")
-    algebra = ws.algebra(lex.next().text)
-    if not isinstance(algebra, FinAlgebra):
-        raise ParseError(lex.path, kw.line, "transformers need a finite observation algebra")
-    y_space = functional_space(target_of_preds, algebra, ws.size_guard)
-    x_space = functional_space(source_of_preds, algebra, ws.size_guard)
+def _parse_ptransformer(ws: Workspace, lex: _Lexer, line):
+    # predicates on Y are transformed to predicates on X
+    name, y, x = _parse_arrow(ws, lex)
+    algebra = _parse_with(ws, lex, line)
+    y_space = functional_space(y, algebra, ws.size_guard)
+    x_space = functional_space(x, algebra, ws.size_guard)
     table = [None] * len(y_space.predicates)
-    while True:
-        tok = lex.next()
-        if tok.text == "end":
-            break
-        if tok.text != "at":
-            raise lex.error(tok, f"expected 'at' or 'end', found {tok.text!r}")
-        g = _parse_value_tuple(ws, lex, algebra.carrier)
-        pred = _parse_map_body(ws, lex, source_of_preds, algebra.carrier)
-        try:
-            table[y_space.predicates.index(g)] = x_space.predicates.index(pred)
-        except PowdomError as exc:
-            raise ParseError(lex.path, tok.line, str(exc)) from None
-    missing = sum(1 for v in table if v is None)
+    for at in _at_lines(lex):
+        g = _parse_indices(lex, algebra.carrier, "[", "]")
+        pred = _parse_map_body(lex, x, algebra.carrier)
+        image = _built(lex, at, x_space.predicates.index, pred)
+        table[_built(lex, at, y_space.predicates.index, g)] = image
+    missing = table.count(None)
     if missing:
-        raise ParseError(lex.path, kw.line, f"{missing} predicates have no image")
-    try:
-        s = PredicateTransformer(y_space, x_space, tuple(table))
-    except PowdomError as exc:
-        raise ParseError(lex.path, kw.line, str(exc)) from None
-    ws.define(ws.ptransformers, "predicate transformer", name, s, lex.path, kw.line)
+        raise lex.error(f"{missing} predicates have no image", line)
+    s = _built(lex, line, PredicateTransformer, y_space, x_space, tuple(table))
+    ws.define(ws.ptransformers, "predicate transformer", name, s, lex.path, line)
 
 
 _STATEMENTS = {

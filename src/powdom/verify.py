@@ -502,16 +502,18 @@ def check_valuations(cfg: SuiteConfig):
                 if not check.passed:
                     yield {"poset": name, "mu": mu.literal(), **check.witness}
 
-    # layer-cake order oracle vs pointwise sampling
+    # layer-cake order oracle vs pointwise sampling; each valuation is
+    # evaluated once on each sampled predicate
     def disagreements():
         for name, poset, vals, preds in inputs:
             rng = cfg.rng(f"valuation.order.{name}")
             sample = [random_predicate(poset, rng) for _ in range(1000)]
-            for mu, nu in itertools.product(vals, repeat=2):
+            values = [[mu(f) for f in sample] for mu in vals]
+            for (mu, mu_at), (nu, nu_at) in itertools.product(zip(vals, values), repeat=2):
                 at = {"poset": name, "mu": mu.literal(), "nu": nu.literal()}
                 if valuation_leq(mu, nu, cfg.size_guard):
-                    for f in sample:
-                        if not mu(f) <= nu(f):
+                    for f, a, b in zip(sample, mu_at, nu_at):
+                        if not a <= b:
                             yield {**at, "oracle": "below", "f": f.literal()}
                 elif all(mu(c) <= nu(c) for c in preds.chis):
                     yield {**at, "oracle": "not below"}

@@ -15,7 +15,13 @@ from powdom.cli import build_parser, main
 from powdom.defs import Workspace, load_workspace, transformer_literal
 from powdom.errors import ParseError, PowdomError, UnknownName
 from powdom.extnum import ExtNN
-from powdom.monad import all_state_transformers, functional_space, p_transform, q_transform
+from powdom.monad import (
+    FunctionalSpace,
+    all_state_transformers,
+    functional_space,
+    p_transform,
+    q_transform,
+)
 
 SAMPLE = """
 # definitions exercising every statement kind
@@ -555,6 +561,20 @@ def test_builtin_algebras_are_built_once_and_handed_out_in_fresh_dicts(sample_pa
     assert checked == ["rmix", "rmix"]
 
 
+def test_builtin_posets_are_built_once_and_handed_out_in_fresh_dicts():
+    first = catalog.builtin_posets()
+    second = catalog.builtin_posets()
+    assert first is not second
+    assert first.keys() == second.keys()
+    assert all(first[name] is second[name] for name in first)
+    first["C2"] = first["A2"]
+    del first["vee"]
+    third = catalog.builtin_posets()
+    assert third["C2"] is second["C2"]
+    assert third["vee"] is second["vee"]
+    assert Workspace().poset("C2") is second["C2"]
+
+
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
@@ -644,3 +664,258 @@ def test_mutated_definitions_fail_only_with_powdom_errors(text, argv, tmp_path, 
     path.write_text(text, encoding="utf-8")
     assert main(argv + ["-f", str(path)]) in (0, 1, 2, 3)
     capsys.readouterr()
+
+
+# one malformed snippet per error site of the definition parser, with the
+# exact exception type and text it ends in
+_PINNED_ERRORS = {
+    "eof": ("poset X\nelems a b\nle a b\n", "ParseError", "{path}:3: unexpected end of file"),
+    "expected-token": (
+        "map u C2 -> C2 { bot |-> bot; top |-> top }\n",
+        "ParseError",
+        "{path}:1: expected ':', found 'C2'",
+    ),
+    "unknown-statement": (
+        "poset X\nelems a\nend\nfrobnicate X\n",
+        "ParseError",
+        "{path}:4: unknown statement 'frobnicate'",
+    ),
+    "poset-keyword": (
+        "poset X\nelems a b\nge a b\nend\n",
+        "ParseError",
+        "{path}:3: expected 'elems', 'le' or 'end', found 'ge'",
+    ),
+    "bad-tag": (
+        "algebra j on C2\nop join arity 2 tag XX\nend\n",
+        "ParseError",
+        "{path}:2: expected a tag LE, GE or EQ, found 'XX'",
+    ),
+    "bad-arity": (
+        "algebra j on C2\nop join arity two tag EQ\nend\n",
+        "ParseError",
+        "{path}:2: arity must be a natural number",
+    ),
+    "bad-literal": (
+        "valuation mu on C2 val { 1/2 @ bot;\n x/y @ top }\n",
+        "ParseError",
+        "{path}:2: bad numeric literal 'x/y'",
+    ),
+    "unknown-builtin": (
+        "algebra r on extnn\nop add arity 2 tag LE\nbuiltin add plus\nend\n",
+        "ParseError",
+        "{path}:3: unknown builtin realisation 'plus'",
+    ),
+    "algebra-keyword": (
+        "algebra j on C2\nop join arity 2 tag EQ\nrealise join\nend\n",
+        "ParseError",
+        "{path}:3: expected 'op', 'table', 'builtin' or 'end'",
+    ),
+    "table-on-extnn": (
+        "algebra r on extnn\nop add arity 2 tag LE\ntable add { (0,0)->0 }\nend\n",
+        "ParseError",
+        "{path}:3: tables need a finite carrier; use 'builtin' on extnn",
+    ),
+    "wrapped-poset": (
+        "poset X\nelems a b\nle a b\nle b a\nend\n",
+        "ParseError",
+        "{path}:1: cover relation creates a cycle through a and b",
+    ),
+    "wrapped-algebra": (
+        "algebra bad on C2\nop join arity 2 tag EQ\n"
+        "table join { (bot,bot)->bot; (bot,top)->top; (top,bot)->top; (top,top)->top }\n"
+        "table typo { () -> bot }\nend\n",
+        "ParseError",
+        "{path}:1: realisation for undeclared operation 'typo'",
+    ),
+    "wrapped-map": (
+        "\nmap u : C2 -> C2 { bot |-> top;\n top |-> bot }\n",
+        "ParseError",
+        "{path}:2: table violates monotonicity on bot <= top",
+    ),
+    "wrapped-envelope": (
+        "subfn phi on A2\n sup{ }\n",
+        "ParseError",
+        "{path}:1: at least one component valuation is required",
+    ),
+    "wrapped-predicate": (
+        "predicate f on C2 pred { bot -> 2;\n top -> 1 }\n",
+        "ParseError",
+        "{path}:1: predicate not monotone on bot <= top",
+    ),
+    "wrapped-transformer": (
+        "transformer t : C2 -> C2 with 2_ang\n"
+        "at bot { [0,0] -> 0; [0,1] -> 1; [1,1] -> 1 }\n"
+        "at top { [0,0] -> 0; [0,1] -> 0; [1,1] -> 1 }\nend\n",
+        "ParseError",
+        "{path}:1: table violates monotonicity on bot <= top",
+    ),
+    "wrapped-ptransformer": (
+        "ptransformer s : C2 -> C2 with 2_ang\n"
+        "at [0,0] { bot |-> 1; top |-> 1 }\n"
+        "at [0,1] { bot |-> 0; top |-> 1 }\n"
+        "at [1,1] { bot |-> 1; top |-> 1 }\nend\n",
+        "ParseError",
+        "{path}:1: table violates monotonicity on [0,0] <= [0,1]",
+    ),
+    "wrapped-transformer-predicate": (
+        "transformer t : C2 -> C2 with 2_ang\nat bot { [0,0] -> 0;\n [1,0] -> 0; [1,1] -> 1 }\nend\n",
+        "ParseError",
+        "{path}:3: map (1, 0) is not in this exponential",
+    ),
+    "wrapped-transformer-functional": (
+        "transformer t : C2 -> C2 with 2_ang\nat bot { [0,0] -> 1;\n [0,1] -> 0; [1,1] -> 0 }\nend\n",
+        "ParseError",
+        "{path}:2: map (1, 0, 0) is not in this exponential",
+    ),
+    "wrapped-ptransformer-at": (
+        "ptransformer s : C2 -> C2 with 2_ang\n"
+        "at [0,0] { bot |-> 0; top |-> 0 }\n"
+        "at [0,1] {\n bot |-> 1; top |-> 0 }\nend\n",
+        "ParseError",
+        "{path}:3: map (1, 0) is not in this exponential",
+    ),
+    "map-totality": (
+        "map u : C2 -> C2 { bot |-> bot;\n }\n",
+        "ParseError",
+        "{path}:2: map body misses elements ['top']",
+    ),
+    "predicate-totality": (
+        "predicate f on A2 pred {\n a -> 1 }\n",
+        "ParseError",
+        "{path}:1: predicate misses element b",
+    ),
+    "transformer-totality": (
+        "transformer t : C2 -> C2 with 2_ang\nat bot { [0,0] -> 0; [0,1] -> 0; [1,1] -> 1 }\nend\n",
+        "ParseError",
+        "{path}:1: transformer misses elements ['top']",
+    ),
+    "transformer-functional-totality": (
+        "transformer t : C2 -> C2 with 2_ang\nat bot { [0,0] -> 0; [1,1] -> 1 }\nend\n",
+        "ParseError",
+        "{path}:2: functional at bot is not total",
+    ),
+    "ptransformer-totality": (
+        "ptransformer s : C2 -> C2 with 2_ang\nat [0,0] { bot |-> 0; top |-> 0 }\nend\n",
+        "ParseError",
+        "{path}:1: 2 predicates have no image",
+    ),
+    "transformer-keyword": (
+        "transformer t : C2 -> C2 with 2_ang\nfrom bot\nend\n",
+        "ParseError",
+        "{path}:2: expected 'at' or 'end', found 'from'",
+    ),
+    "ptransformer-keyword": (
+        "ptransformer s : C2 -> C2 with 2_ang\nfrom bot\nend\n",
+        "ParseError",
+        "{path}:2: expected 'at' or 'end', found 'from'",
+    ),
+    "transformer-infinite-algebra": (
+        "\ntransformer t : C2 -> C2 with rplus\nend\n",
+        "ParseError",
+        "{path}:2: transformers need a finite observation algebra",
+    ),
+    "ptransformer-infinite-algebra": (
+        "\nptransformer s : C2 -> C2 with rplus\nend\n",
+        "ParseError",
+        "{path}:2: transformers need a finite observation algebra",
+    ),
+    "already-defined": (
+        "map u : C2 -> C2 { bot |-> bot; top |-> top }\n"
+        "map u : C2 -> C2 { bot |-> top; top |-> top }\n",
+        "ParseError",
+        "{path}:2: map 'u' is already defined",
+    ),
+    "shared-namespace": (
+        "valuation phi on A2 val { 1 @ a }\nsubfn phi on A2 sup{ val{ 1 @ a }; val{ 1 @ b } }\n",
+        "ParseError",
+        "{path}:2: subfn 'phi' is already defined as a valuation",
+    ),
+    "unknown-name": ("map u : nowhere -> C2 { }\n", "UnknownName", "unknown poset 'nowhere'"),
+    "unterminated-body": (
+        "map u : C2 -> C2 { bot |-> bot;\n top |-> top\n",
+        "ParseError",
+        "{path}:2: unterminated map body",
+    ),
+    "label-map": (
+        "map u : C2 -> C2 { bot |-> nope }\n",
+        "ParseError",
+        "{path}:1: unknown element 'nope'",
+    ),
+    "label-valuation": (
+        "valuation mu on C2 val {\n 1/2 @ bot;\n 1/3 @ zz }\n",
+        "ParseError",
+        "{path}:3: unknown element 'zz'",
+    ),
+    "label-table": (
+        "algebra j on C2\nop neg arity 1 tag EQ\ntable neg { (bot) -> top;\n (mid) -> bot }\nend\n",
+        "ParseError",
+        "{path}:4: unknown element 'mid'",
+    ),
+    "label-predicate": (
+        "predicate f on A2 pred { a -> 1;\n c -> 2 }\n",
+        "ParseError",
+        "{path}:2: unknown element 'c'",
+    ),
+    "label-transformer-at": (
+        "transformer t : C2 -> C2 with 2_ang\nat mid { [0,0] -> 0 }\nend\n",
+        "ParseError",
+        "{path}:2: unknown element 'mid'",
+    ),
+    "label-transformer-value": (
+        "transformer t : C2 -> C2 with 2_ang\nat bot { [0,0] -> 0;\n [0,2] -> 0 }\nend\n",
+        "ParseError",
+        "{path}:3: unknown element '2'",
+    ),
+    "label-ptransformer": (
+        "ptransformer s : C2 -> C2 with 2_ang\nat [0,0] {\n bot |-> 0; up |-> 0 }\nend\n",
+        "ParseError",
+        "{path}:3: unknown element 'up'",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(_PINNED_ERRORS))
+def test_parse_errors_are_pinned(case):
+    text, kind, message = _PINNED_ERRORS[case]
+    with pytest.raises(PowdomError) as err:
+        Workspace().load_text("case.defs", text)
+    assert (type(err.value).__name__, str(err.value)) == (kind, message.format(path="case.defs"))
+
+
+def test_label_errors_name_their_file_and_line(tmp_path, capsys):
+    defs = tmp_path / "labels.defs"
+    defs.write_text("valuation mu on C2 val {\n 1/2 @ bot;\n 1/3 @ zz }\n", encoding="utf-8")
+    assert main(["valuation", "mu", "-f", str(defs)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {defs}:3: unknown element 'zz'\n"
+
+
+def test_non_decimal_arity_is_a_parse_error():
+    # '²' is a digit to str.isdigit but not a number to int
+    with pytest.raises(ParseError) as err:
+        Workspace().load_text("case.defs", "algebra j on C2\nop join arity ² tag EQ\nend\n")
+    assert str(err.value) == "case.defs:2: arity must be a natural number"
+
+
+@pytest.mark.parametrize(
+    "family, read",
+    [
+        ("homs", {"hom_indices"}),
+        ("free", {"free_indices", "hom_indices"}),
+        ("relaxed", {"relaxed_indices", "hom_indices"}),
+    ],
+)
+def test_family_commands_compute_only_the_family_they_report(family, read, monkeypatch, capsys):
+    seen = set()
+    for name in ("hom_indices", "free_indices", "relaxed_indices"):
+        fget = getattr(FunctionalSpace, name).fget
+
+        def spy(space, name=name, fget=fget):
+            seen.add(name)
+            return fget(space)
+
+        monkeypatch.setattr(FunctionalSpace, name, property(spy))
+    assert main([family, "A2", "2_ang"]) == 0
+    capsys.readouterr()
+    assert seen == read

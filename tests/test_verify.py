@@ -383,6 +383,26 @@ def test_valuation_linear_draws_a_capped_budget(monkeypatch):
         assert drawn[0] == vals * 3 * 100 == 4200
 
 
+def test_order_oracle_evaluates_each_valuation_once_per_predicate(monkeypatch):
+    # the oracle used to evaluate both valuations of every ordered pair on all
+    # 1,000 sampled predicates: 62,000 of the section's 70,760 calls
+    from powdom.powerdomain import SimpleValuation
+
+    import powdom.verify as verify_mod
+
+    calls = [0]
+    real_call = SimpleValuation.__call__
+
+    def counting(self, f):
+        calls[0] += 1
+        return real_call(self, f)
+
+    monkeypatch.setattr(SimpleValuation, "__call__", counting)
+    checks = verify_mod.check_valuations(SuiteConfig(seed=42, trials=100, catalog_max=2))
+    assert all(c.passed for c in checks)
+    assert calls[0] <= 23_000
+
+
 def test_linearity_witness_names_the_faulty_scaled_predicate(monkeypatch):
     from powdom.algebra import is_homomorphism
     from powdom.powerdomain import PredAlgebra, SimpleValuation, chi
