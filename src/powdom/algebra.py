@@ -12,6 +12,12 @@ realised as closed forms; laws over it are checked in two phases (a fixed
 grid exhaustively, then seeded random tuples), so verdicts are
 counterexample-free claims, never proofs.  Checker reports record which
 mode produced them.
+
+The walkers read an algebra through ``mode``, ``signature``, ``resolve``,
+``leq``, ``value_str``, ``grid_tuples`` and ``sample_tuple``, and compare
+values with ``==``.  ``resolve(symbol, param)`` is the op as a callable on an
+argument tuple (a family's at ``param``); it refuses an unknown symbol or a
+family without its parameter, once, so no application checks anything.
 """
 
 from __future__ import annotations
@@ -163,18 +169,12 @@ class FinAlgebra:
     def __hash__(self):
         return hash(self._key)
 
-    def apply(self, symbol, args, param=None):
+    def resolve(self, symbol, param=None):
         self.signature.spec(symbol)
-        try:
-            return self.tables[symbol][tuple(args)]
-        except KeyError:
-            raise ArityMismatch(f"bad argument tuple {args} for {symbol}") from None
+        return self.tables[symbol].__getitem__
 
     def leq(self, a, b) -> bool:
         return self.carrier.leq[a][b]
-
-    def eq(self, a, b) -> bool:
-        return a == b
 
     def value_str(self, a) -> str:
         return self.carrier.labels[a]
@@ -203,39 +203,31 @@ class RatAlgebra:
         self._grid_monotone()
 
     def _grid_monotone(self):
-        # cheap construction-time sanity check; the verify suite re-runs the
-        # monotonicity law with samples as well
+        # the ops' only monotonicity check, on the grid alone: no suite record
+        # re-checks it with samples (extnum.ops-monotone covers ExtNN + and *)
         for op in self.signature.ops:
             for param in _param_grid(self, op):
+                fn = self.resolve(op.symbol, param)
                 for args in itertools.product(self.grid, repeat=op.arity):
+                    lo = fn(args)
                     for pos in range(op.arity):
                         for hi in self.grid:
-                            if not args[pos] <= hi:
-                                continue
-                            bumped = args[:pos] + (hi,) + args[pos + 1 :]
-                            lo_v = self.apply(op.symbol, args, param)
-                            hi_v = self.apply(op.symbol, bumped, param)
-                            if not lo_v <= hi_v:
+                            if args[pos] <= hi and not lo <= fn(args[:pos] + (hi,) + args[pos + 1 :]):
                                 raise PowdomError(
                                     f"operation {op.symbol} is not monotone at {args}"
                                 )
 
-    def apply(self, symbol, args, param=None):
-        spec = self.signature.spec(symbol)
-        if len(tuple(args)) != spec.arity:
-            raise ArityMismatch(f"bad argument tuple for {symbol}")
+    def resolve(self, symbol, param=None):
+        parametric = self.signature.spec(symbol).parametric
         fn = self.ops[symbol]
-        if spec.parametric:
-            if param is None:
-                raise ArityMismatch(f"operation family {symbol} needs a parameter")
-            return fn(param, *args)
-        return fn(*args)
+        if not parametric:
+            return lambda args: fn(*args)
+        if param is None:
+            raise ArityMismatch(f"operation family {symbol} needs a parameter")
+        return lambda args: fn(param, *args)
 
     def leq(self, a, b) -> bool:
         return a <= b
-
-    def eq(self, a, b) -> bool:
-        return a == b
 
     def value_str(self, a) -> str:
         return str(a)
@@ -337,55 +329,53 @@ def _sampler(algebra, rng, draws, draw):
 
 
 def _instances(algebra, nvars, specs, rng, trials):
-    """``(values, *params)``: ``nvars`` carrier values, one parameter per spec.
+    """``(values, params)``: ``nvars`` carrier values, and one parameter per spec.
 
     The grid runs the parameters outermost and the values innermost; a sample
     draws the values, then each op family's parameter in spec order.
     """
-    grid = (
-        (values, *params)
+    grid = itertools.chain.from_iterable(
+        zip(algebra.grid_tuples(nvars), itertools.repeat(params))
         for params in itertools.product(*(_param_grid(algebra, s) for s in specs))
-        for values in algebra.grid_tuples(nvars)
     )
 
     def draw():
-        return (algebra.sample_tuple(nvars, rng), *(random_extnn(rng) if s.parametric else None for s in specs))
+        return algebra.sample_tuple(nvars, rng), tuple(random_extnn(rng) if s.parametric else None for s in specs)
 
     # an empty tuple without parameters is one grid instance; samples would repeat it
     drawn = nvars or any(s.parametric for s in specs)
     return two_phase(grid, _sampler(algebra, rng, drawn, draw), trials)
 
 
-def _require_same_signature(b, r):
-    if b.signature != r.signature:
-        raise SignatureMismatch(
-            f"signatures of {getattr(b, 'name', '?')} and {getattr(r, 'name', '?')} differ"
-        )
+def _resolver(algebra, spec):
+    """``param -> op``: a family resolved at each parameter, a plain op once (at None)."""
+    if spec.parametric:
+        return partial(algebra.resolve, spec.symbol)
+    return {None: algebra.resolve(spec.symbol)}.__getitem__
 
 
-def _relation_holds(relation, algebra, lhs, rhs) -> bool:
-    if relation == "eq":
-        return algebra.eq(lhs, rhs)
-    if relation == "le":
-        return algebra.leq(lhs, rhs)
-    return algebra.leq(rhs, lhs)
+def _relation_holds(relation: OpTag, algebra, lhs, rhs) -> bool:
+    if relation is OpTag.EQ:
+        return lhs == rhs
+    return algebra.leq(lhs, rhs) if relation is OpTag.LE else algebra.leq(rhs, lhs)
 
 
-_REL_TEXT = {"eq": "=", "le": "<=", "ge": ">="}
+_REL_TEXT = {OpTag.EQ: "=", OpTag.LE: "<=", OpTag.GE: ">="}
 
 
-def _interchange_check(algebra, sigma: str, omega: str, relation, rng, trials, name):
+def _interchange_check(algebra, sigma: str, omega: str, relation: OpTag, rng, trials, name):
     """Check sigma(omega(rows)) REL omega(sigma(columns)) over all matrices."""
-    s_spec = algebra.signature.spec(sigma)
-    o_spec = algebra.signature.spec(omega)
+    s_spec, o_spec = algebra.signature.spec(sigma), algebra.signature.spec(omega)
     n, m = s_spec.arity, o_spec.arity
+    s_at, o_at = _resolver(algebra, s_spec), _resolver(algebra, o_spec)
 
-    def instance_fails(flat, s_param, o_param):
+    def instance_fails(flat, params):
+        s_param, o_param = params
+        s_op, o_op = s_at(s_param), o_at(o_param)
         matrix = tuple(flat[i * m : (i + 1) * m] for i in range(n))
-        rows = tuple(algebra.apply(omega, matrix[i], o_param) for i in range(n))
-        lhs = algebra.apply(sigma, rows, s_param)
+        lhs = s_op(tuple(map(o_op, matrix)))
         columns = (tuple(matrix[i][j] for i in range(n)) for j in range(m))
-        rhs = algebra.apply(omega, tuple(algebra.apply(sigma, c, s_param) for c in columns), o_param)
+        rhs = o_op(tuple(map(s_op, columns)))
         if _relation_holds(relation, algebra, lhs, rhs):
             return None
         return {
@@ -406,16 +396,16 @@ def _interchange_check(algebra, sigma: str, omega: str, relation, rng, trials, n
 
 def commutes(algebra, sigma: str, omega: str, rng=None, trials=0) -> CheckOutcome:
     """Interchange law with equality (the entropic law for the pair)."""
-    return _interchange_check(algebra, sigma, omega, "eq", rng, trials, f"commutes:{sigma},{omega}")
+    return _interchange_check(algebra, sigma, omega, OpTag.EQ, rng, trials, f"commutes:{sigma},{omega}")
 
 
 def subcommutes(algebra, sigma: str, omega: str, rng=None, trials=0) -> CheckOutcome:
     """sigma(omega(rows)) <= omega(sigma(columns)) for all matrices."""
-    return _interchange_check(algebra, sigma, omega, "le", rng, trials, f"subcommutes:{sigma},{omega}")
+    return _interchange_check(algebra, sigma, omega, OpTag.LE, rng, trials, f"subcommutes:{sigma},{omega}")
 
 
 def supercommutes(algebra, sigma: str, omega: str, rng=None, trials=0) -> CheckOutcome:
-    return _interchange_check(algebra, sigma, omega, "ge", rng, trials, f"supercommutes:{sigma},{omega}")
+    return _interchange_check(algebra, sigma, omega, OpTag.GE, rng, trials, f"supercommutes:{sigma},{omega}")
 
 
 def is_entropic(algebra, rng=None, trials=0) -> CheckOutcome:
@@ -455,28 +445,29 @@ def _as_callable(phi, b, r):
 
 
 def _morphism_check(phi, b, r, relation_for, rng, trials, name) -> CheckOutcome:
-    _require_same_signature(b, r)
+    if b.signature != r.signature:
+        raise SignatureMismatch(f"signatures of {getattr(b, 'name', '?')} and {getattr(r, 'name', '?')} differ")
     fn = _as_callable(phi, b, r)
 
-    def instance_fails(op, relation, args, param):
-        lhs = fn(b.apply(op.symbol, args, param))
-        rhs = r.apply(op.symbol, tuple(fn(a) for a in args), param)
-        if _relation_holds(relation, r, lhs, rhs):
-            return None
-        return {
-            "op": op.symbol,
-            "relation": _REL_TEXT[relation],
-            "args": [b.value_str(a) for a in args],
-            "param": None if param is None else str(param),
-            "lhs": r.value_str(lhs),
-            "rhs": r.value_str(rhs),
-        }
+    def op_failures(op, relation):
+        b_at, r_at = _resolver(b, op), _resolver(r, op)
+        for args, (param,) in _instances(b, op.arity, (op,), rng, trials):
+            lhs = fn(b_at(param)(args))
+            rhs = r_at(param)(tuple(map(fn, args)))
+            if not _relation_holds(relation, r, lhs, rhs):
+                yield {
+                    "op": op.symbol,
+                    "relation": _REL_TEXT[relation],
+                    "args": [b.value_str(a) for a in args],
+                    "param": None if param is None else str(param),
+                    "lhs": r.value_str(lhs),
+                    "rhs": r.value_str(rhs),
+                }
 
-    results = (
-        instance_fails(op, relation, args, param)
+    results = itertools.chain.from_iterable(
+        op_failures(op, relation)
         for op in b.signature.ops
         if (relation := relation_for(op)) is not None
-        for args, param in _instances(b, op.arity, (op,), rng, trials)
     )
     return first_failure(name, results, b.mode)
 
@@ -487,7 +478,7 @@ def is_homomorphism(phi, b, r, rng=None, trials=0) -> CheckOutcome:
     ``phi`` is a MonoMap from b's carrier to r's carrier, or any callable on
     carrier values.
     """
-    return _morphism_check(phi, b, r, lambda op: "eq", rng, trials, "homomorphism")
+    return _morphism_check(phi, b, r, lambda op: OpTag.EQ, rng, trials, "homomorphism")
 
 
 def is_relaxed_morphism(phi, b, r, rng=None, trials=0, symbol=None) -> CheckOutcome:
@@ -499,9 +490,7 @@ def is_relaxed_morphism(phi, b, r, rng=None, trials=0, symbol=None) -> CheckOutc
         b.signature.spec(symbol)
 
     def relation_for(op):
-        if symbol is not None and op.symbol != symbol:
-            return None
-        return {OpTag.LE: "le", OpTag.GE: "ge", OpTag.EQ: "eq"}[op.tag]
+        return op.tag if symbol is None or op.symbol == symbol else None
 
     return _morphism_check(phi, b, r, relation_for, rng, trials, "relaxed-morphism")
 
@@ -518,17 +507,13 @@ def generated_subalgebra(algebra: FinAlgebra, generators) -> tuple:
         if not 0 <= g < n:
             raise UnknownElement(f"generator index {g} outside the carrier")
         current.add(g)
-    changed = True
-    while changed:
-        changed = False
-        ordered = sorted(current)
-        for op in algebra.signature.ops:
-            for args in itertools.product(ordered, repeat=op.arity):
-                value = algebra.apply(op.symbol, args)
-                if value not in current:
-                    current.add(value)
-                    changed = True
-    return tuple(sorted(current))
+    ops = [(algebra.resolve(op.symbol), op.arity) for op in algebra.signature.ops]
+    while True:
+        ordered, size = sorted(current), len(current)
+        for op, arity in ops:
+            current.update(map(op, itertools.product(ordered, repeat=arity)))
+        if len(current) == size:
+            return tuple(ordered)
 
 
 # ---------------------------------------------------------------------------
@@ -553,7 +538,7 @@ class EndoAction:
     grid_endos: tuple
     identity: object
     compose: object  # (e1, e2) -> e1 after e2
-    op_on_endos: object  # (symbol, endo tuple, param) -> endo
+    op_on_endos: object  # (symbol, param) -> (endo tuple -> endo), as ``resolve``
     act: object  # (endo, carrier value) -> carrier value
     describe: object = str
     sample_endo: object = None  # rng -> endo, for the sampled phase
@@ -565,7 +550,7 @@ def scalar_action(algebra: RatAlgebra) -> EndoAction:
         grid_endos=tuple(algebra.grid),
         identity=ONE,
         compose=enn_mul,
-        op_on_endos=lambda sym, endos, param: algebra.apply(sym, endos, param),
+        op_on_endos=algebra.resolve,
         act=enn_mul,
         describe=str,
         sample_endo=random_extnn,
@@ -576,11 +561,11 @@ def map_action(algebra: FinAlgebra) -> EndoAction:
     """End(A) acting on A by application."""
     n = algebra.carrier.size
 
-    def op_on_endos(sym, maps, param):
-        table = tuple(
-            algebra.apply(sym, tuple(m.table[x] for m in maps), param) for x in range(n)
+    def op_on_endos(sym, param):
+        op = algebra.resolve(sym, param)
+        return lambda maps: MonoMap(
+            algebra.carrier, algebra.carrier, tuple(op(tuple(m.table[x] for m in maps)) for x in range(n))
         )
-        return MonoMap(algebra.carrier, algebra.carrier, table)
 
     return EndoAction(
         grid_endos=endomorphisms(algebra).maps,
@@ -602,7 +587,7 @@ def check_module_axioms(action: EndoAction, algebra, rng=None, trials=DEFAULT_TR
 
     checks = []
 
-    def run_axiom(name, endo_count, value_count, test, params=(None,)):
+    def run_axiom(name, endo_count, value_count, test, resolved=((),)):
         endos = itertools.product(action.grid_endos, repeat=endo_count)
         grid = itertools.product(endos, algebra.grid_tuples(value_count))
 
@@ -612,25 +597,25 @@ def check_module_axioms(action: EndoAction, algebra, rng=None, trials=DEFAULT_TR
 
         # endos and values are sampled jointly; op parameters stay on the grid
         stream = two_phase(grid, _sampler(algebra, rng, action.sample_endo is not None, sample), trials)
-        results = (test(es, xs, param) for es, xs in stream for param in params)
+        results = (test(es, xs, *at) for es, xs in stream for at in resolved)
         checks.append(first_failure(name, results, mode))
 
     def param_str(param):
         return None if param is None else algebra.value_str(param)
 
-    def ax1(es, xs, param):
+    def ax1(es, xs):
         (x,) = xs
         got = action.act(action.identity, x)
-        if not algebra.eq(got, x):
+        if got != x:
             return {"x": algebra.value_str(x), "got": algebra.value_str(got)}
         return None
 
-    def ax2(es, xs, param):
+    def ax2(es, xs):
         e1, e2 = es
         (x,) = xs
         lhs = action.act(action.compose(e1, e2), x)
         rhs = action.act(e1, action.act(e2, x))
-        if not algebra.eq(lhs, rhs):
+        if lhs != rhs:
             return {
                 "endos": [action.describe(e1), action.describe(e2)],
                 "x": algebra.value_str(x),
@@ -644,11 +629,11 @@ def check_module_axioms(action: EndoAction, algebra, rng=None, trials=DEFAULT_TR
 
     for op in algebra.signature.ops:
 
-        def ax3(es, xs, param, op=op):
+        def ax3(es, xs, param, on_values, on_endos, op=op):
             (x,) = xs
-            lhs = action.act(action.op_on_endos(op.symbol, es, param), x)
-            rhs = algebra.apply(op.symbol, tuple(action.act(e, x) for e in es), param)
-            if not algebra.eq(lhs, rhs):
+            lhs = action.act(on_endos(es), x)
+            rhs = on_values(tuple(action.act(e, x) for e in es))
+            if lhs != rhs:
                 return {
                     "op": op.symbol,
                     "param": param_str(param),
@@ -659,11 +644,11 @@ def check_module_axioms(action: EndoAction, algebra, rng=None, trials=DEFAULT_TR
                 }
             return None
 
-        def ax4(es, xs, param, op=op):
+        def ax4(es, xs, param, on_values, on_endos, op=op):
             (e,) = es
-            lhs = action.act(e, algebra.apply(op.symbol, xs, param))
-            rhs = algebra.apply(op.symbol, tuple(action.act(e, x) for x in xs), param)
-            if not algebra.eq(lhs, rhs):
+            lhs = action.act(e, on_values(xs))
+            rhs = on_values(tuple(action.act(e, x) for x in xs))
+            if lhs != rhs:
                 return {
                     "op": op.symbol,
                     "param": param_str(param),
@@ -674,8 +659,9 @@ def check_module_axioms(action: EndoAction, algebra, rng=None, trials=DEFAULT_TR
                 }
             return None
 
-        params = _param_grid(algebra, op)
-        run_axiom(f"ax3:ops-pointwise:{op.symbol}", op.arity, 1, ax3, params)
-        run_axiom(f"ax4:endo-preserves:{op.symbol}", 1, op.arity, ax4, params)
+        # each op of the carrier and of the endos, at each parameter
+        resolved = [(p, algebra.resolve(op.symbol, p), action.op_on_endos(op.symbol, p)) for p in _param_grid(algebra, op)]
+        run_axiom(f"ax3:ops-pointwise:{op.symbol}", op.arity, 1, ax3, resolved)
+        run_axiom(f"ax4:endo-preserves:{op.symbol}", 1, op.arity, ax4, resolved)
 
     return CheckOutcome.composite("module-axioms", checks, mode)

@@ -46,7 +46,7 @@ from dataclasses import dataclass, field
 
 from . import catalog
 from .algebra import FinAlgebra, OpSpec, OpTag, RatAlgebra, Signature
-from .errors import ParseError, PowdomError, UnknownName
+from .errors import ParseError, PowdomError, UnknownName, UnknownNameAt
 from .extnum import ExtNN, enn_max, enn_min
 from .funcspace import MonoMap
 from .monad import PredicateTransformer, StateTransformer, functional_space
@@ -90,6 +90,13 @@ class _Lexer:
         while self.pos < len(self.lines) and self.lines[self.pos] == self.line:
             self.pos += 1
         return self.texts[start:self.pos]
+
+    def named(self, table, kind):
+        """The definition in ``table`` that the next token names."""
+        name = self.next()
+        if name not in table:
+            raise UnknownNameAt(self.path, self.line, f"unknown {kind} {name!r}")
+        return table[name]
 
     def element(self, poset: FinPoset) -> int:
         """The index in ``poset`` of the label that is the next token."""
@@ -214,16 +221,16 @@ def _parse_arrow(ws: Workspace, lex: _Lexer):
     """``NAME : X -> Y``, as the name and the posets X and Y."""
     name = lex.next()
     lex.next(":")
-    source = ws.poset(lex.next())
+    source = lex.named(ws.posets, "poset")
     lex.next("->")
-    return name, source, ws.poset(lex.next())
+    return name, source, lex.named(ws.posets, "poset")
 
 
 def _parse_on(ws: Workspace, lex: _Lexer, opener):
     """``NAME on P <opener>``, as the name and the poset P."""
     name = lex.next()
     lex.next("on")
-    poset = ws.poset(lex.next())
+    poset = lex.named(ws.posets, "poset")
     lex.next(opener)
     return name, poset
 
@@ -280,8 +287,8 @@ _BUILTIN_OPS = {
 def _parse_algebra(ws: Workspace, lex: _Lexer, line):
     name = lex.next()
     lex.next("on")
-    carrier = lex.next()
-    carrier = None if carrier == "extnn" else ws.poset(carrier)
+    # ``extnn`` is the rational carrier, even where a poset has that name
+    carrier = lex.named({**ws.posets, "extnn": None}, "poset")
     ops, tables, builtins = [], {}, {}
     while (word := lex.next()) != "end":
         if word == "op":
@@ -411,7 +418,7 @@ def _parse_predicate(ws: Workspace, lex: _Lexer, line):
 def _parse_with(ws: Workspace, lex: _Lexer, line) -> FinAlgebra:
     """``with ALGEBRA``; transformers need a finite one."""
     lex.next("with")
-    algebra = ws.algebra(lex.next())
+    algebra = lex.named(ws.algebras, "algebra")
     if not isinstance(algebra, FinAlgebra):
         raise lex.error("transformers need a finite observation algebra", line)
     return algebra

@@ -74,3 +74,7 @@ class ParseError(PowdomError):
         self.path = path
         self.line = line
         self.message = message
+
+
+class UnknownNameAt(ParseError, UnknownName):
+    """A definition file names an undefined poset or algebra; located at that name."""

@@ -91,12 +91,6 @@ def chi(up_set: ElemSet) -> Predicate:
     )
 
 
-def pred_leq(f: Predicate, g: Predicate) -> bool:
-    if f.poset != g.poset:
-        raise TypeMismatch("operands live over different posets")
-    return all(a <= b for a, b in zip(f.values, g.values))
-
-
 def random_predicate(poset: FinPoset, rng) -> Predicate:
     return Predicate(poset, random_monotone_values(poset, rng))
 
@@ -118,16 +112,19 @@ class PredAlgebra:
         self.name = f"{base.name}^{poset.size}"
         self.chis = tuple(chi(u) for u in all_up_sets(poset, size_guard))
 
-    def apply(self, symbol, args, param=None):
-        base = self.base.apply
-        points = zip(*(a.values for a in args)) if args else [()] * self.poset.size
-        return Predicate(self.poset, tuple(base(symbol, p, param) for p in points))
+    def resolve(self, symbol, param=None):
+        op, poset = self.base.resolve(symbol, param), self.poset
+
+        def pointwise(args):
+            points = zip(*(a.values for a in args)) if args else [()] * poset.size
+            return Predicate(poset, tuple(map(op, points)))
+
+        return pointwise
 
     def leq(self, a, b) -> bool:
-        return pred_leq(a, b)
-
-    def eq(self, a, b) -> bool:
-        return a.values == b.values
+        if a.poset != b.poset:
+            raise TypeMismatch("operands live over different posets")
+        return all(x <= y for x, y in zip(a.values, b.values))
 
     def value_str(self, a) -> str:
         return a.literal()
@@ -260,13 +257,11 @@ class ValuationAlgebra:
     mode: ClassVar[str] = SAMPLED
     signature: ClassVar[Signature] = Signature((OpSpec("add", 2), OpSpec("zero", 0)))
 
-    def apply(self, symbol, args, param=None):
+    def resolve(self, symbol, param=None):
+        self.signature.spec(symbol)
         if symbol == "add":
-            return args[0].add(args[1])
-        return SimpleValuation(self.poset, ())
-
-    def eq(self, a, b) -> bool:
-        return a.atoms == b.atoms
+            return lambda args: args[0].add(args[1])
+        return lambda args: SimpleValuation(self.poset, ())
 
     def value_str(self, a) -> str:
         return a.literal()

@@ -346,9 +346,9 @@ def check_monad(cfg: SuiteConfig):
                 lifts = t.lift_table()
                 for op in xs.algebra.signature.ops:
                     for args in itertools.product(range(len(xs.space)), repeat=op.arity):
-                        lhs = lifts[xs.func_algebra.apply(op.symbol, args)]
+                        lhs = lifts[xs.func_algebra.resolve(op.symbol)(args)]
                         parts = tuple(lifts[a] for a in args)
-                        if lhs != ys.func_algebra.apply(op.symbol, parts):
+                        if lhs != ys.func_algebra.resolve(op.symbol)(parts):
                             yield {**at, "t": _transformer(t), "op": op.symbol, "args": _keys(xs, args)}
 
     def hom_failures():
@@ -526,7 +526,7 @@ def check_valuations(cfg: SuiteConfig):
                 grid_endos=SCALAR_GRID,
                 identity=ONE,
                 compose=enn_mul,
-                op_on_endos=rplus.apply,
+                op_on_endos=rplus.resolve,
                 act=functools.cache(lambda r, mu: mu.scale(r)),
                 sample_endo=random_extnn,
             )

@@ -127,8 +127,8 @@ def test_criterion_5_entropicity_matrix():
         assert not semiring.passed
         alg = ALGS["rplus_semiring"]
         one, two, three, four = ExtNN(1), ExtNN(2), ExtNN(3), ExtNN(4)
-        lhs = alg.apply("add", (alg.apply("mul", (one, two)), alg.apply("mul", (three, four))))
-        rhs = alg.apply("mul", (alg.apply("add", (one, three)), alg.apply("add", (two, four))))
+        lhs = alg.resolve("add")((alg.resolve("mul")((one, two)), alg.resolve("mul")((three, four))))
+        rhs = alg.resolve("mul")((alg.resolve("add")((one, three)), alg.resolve("add")((two, four))))
         assert lhs == ExtNN(14) != rhs == ExtNN(24)
 
         for name in ("rplus_max", "rplus_min"):
@@ -197,13 +197,13 @@ def test_criterion_8_unit_and_lifting_suite():
                             for args in itertools.product(
                                 range(len(xs.space)), repeat=op.arity
                             ):
-                                combined = xs.func_algebra.apply(op.symbol, args)
+                                combined = xs.func_algebra.resolve(op.symbol)(args)
                                 lhs = kleisli_lift(t, xs.functional(combined))
                                 parts = tuple(
                                     ys.space.index(kleisli_lift(t, xs.functional(a)).table)
                                     for a in args
                                 )
-                                rhs = ys.functional(ys.func_algebra.apply(op.symbol, parts))
+                                rhs = ys.functional(ys.func_algebra.resolve(op.symbol)(parts))
                                 assert lhs.table == rhs.table
                     for t in all_state_transformers(x, ys, ys.hom_indices):
                         for i in xs.hom_indices:

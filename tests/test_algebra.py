@@ -61,7 +61,7 @@ class TestLifting:
         for i, a in enumerate(expo.maps):
             for j, b in enumerate(expo.maps):
                 expected = tuple(max(x, y) for x, y in zip(a.table, b.table))
-                got = expo.maps[lifted.apply("join", (i, j))].table
+                got = expo.maps[lifted.resolve("join")((i, j))].table
                 assert got == expected
 
     def test_singleton_base_is_isomorphic(self):
@@ -69,12 +69,12 @@ class TestLifting:
         assert lifted.carrier.size == 2
         for i in (0, 1):
             for j in (0, 1):
-                assert lifted.apply("join", (i, j)) == max(i, j)
-        assert lifted.apply("zero", ()) == 0
+                assert lifted.resolve("join")((i, j)) == max(i, j)
+        assert lifted.resolve("zero")(()) == 0
 
     def test_constant_lifts_to_constant_map(self):
         lifted = lift_pointwise(ALGS["2_ang"], POSETS["A2"])
-        zero_idx = lifted.apply("zero", ())
+        zero_idx = lifted.resolve("zero")(())
         assert lifted.expo.maps[zero_idx].table == (0, 0)
 
 
@@ -180,8 +180,8 @@ class TestInterchange:
         # the canonical counterexample evaluates to 14 vs 24
         alg = ALGS["rplus_semiring"]
         one, two, three, four = ExtNN(1), ExtNN(2), ExtNN(3), ExtNN(4)
-        lhs = alg.apply("add", (alg.apply("mul", (one, two)), alg.apply("mul", (three, four))))
-        rhs = alg.apply("mul", (alg.apply("add", (one, three)), alg.apply("add", (two, four))))
+        lhs = alg.resolve("add")((alg.resolve("mul")((one, two)), alg.resolve("mul")((three, four))))
+        rhs = alg.resolve("mul")((alg.resolve("add")((one, three)), alg.resolve("add")((two, four))))
         assert lhs == ExtNN(14) and rhs == ExtNN(24) and lhs != rhs
 
     def test_scaling_commutes_with_max(self):
@@ -195,8 +195,8 @@ class TestInterchange:
         # spot instance: (0+5) max (5+0) = 5 <= (0 max 5) + (5 max 0) = 10
         alg = ALGS["rplus_max"]
         five = ExtNN(5)
-        lhs = alg.apply("max", (alg.apply("add", (ZERO, five)), alg.apply("add", (five, ZERO))))
-        rhs = alg.apply("add", (alg.apply("max", (ZERO, five)), alg.apply("max", (five, ZERO))))
+        lhs = alg.resolve("max")((alg.resolve("add")((ZERO, five)), alg.resolve("add")((five, ZERO))))
+        rhs = alg.resolve("add")((alg.resolve("max")((ZERO, five)), alg.resolve("max")((five, ZERO))))
         assert lhs == five and rhs == ExtNN(10) and lhs <= rhs
 
     def test_add_does_not_subcommute_with_max(self):
@@ -426,9 +426,9 @@ class TestConstruction:
 
     def test_infinite_scalar_conventions(self):
         alg = ALGS["rplus_max"]
-        assert alg.apply("scale", (ZERO,), INF) == ZERO
-        assert alg.apply("scale", (INF,), ZERO) == ZERO
-        assert alg.apply("scale", (ExtNN(2),), INF) == INF
+        assert alg.resolve("scale", INF)((ZERO,)) == ZERO
+        assert alg.resolve("scale", ZERO)((INF,)) == ZERO
+        assert alg.resolve("scale", INF)((ExtNN(2),)) == INF
 
 
 # ---------------------------------------------------------------------------
@@ -436,14 +436,14 @@ class TestConstruction:
 
 
 def reference_lift_tables(algebra, base):
-    """Independent oracle: every entry by per-point ``apply`` and ``index``."""
+    """Independent oracle: every entry by per-point ``resolve`` and ``index``."""
     expo = enumerate_monotone(base, algebra.carrier)
     tables = {}
     for op in algebra.signature.ops:
         table = {}
         for args in itertools.product(range(len(expo)), repeat=op.arity):
             result = tuple(
-                algebra.apply(op.symbol, tuple(expo.maps[a].table[x] for a in args))
+                algebra.resolve(op.symbol)(tuple(expo.maps[a].table[x] for a in args))
                 for x in range(base.size)
             )
             table[args] = expo.index(result)
@@ -559,13 +559,18 @@ def test_sampled_phase_skips_instances_that_draw_nothing(monkeypatch):
     # instance; its sampled copies would repeat it without a draw
     rplus = catalog.builtin_algebras()["rplus"]
     calls = []
-    real_apply = RatAlgebra.apply
+    real_resolve = RatAlgebra.resolve
 
-    def counting(self, symbol, args, param=None):
-        calls.append(symbol)
-        return real_apply(self, symbol, args, param)
+    def counting(self, symbol, param=None):
+        op = real_resolve(self, symbol, param)
 
-    monkeypatch.setattr(RatAlgebra, "apply", counting)
+        def counted(args):
+            calls.append(symbol)
+            return op(args)
+
+        return counted
+
+    monkeypatch.setattr(RatAlgebra, "resolve", counting)
     rng = task_rng(7, "nothing-drawn")
     assert commutes(rplus, "zero", "zero", rng, 500).passed
     assert calls == ["zero", "zero"]

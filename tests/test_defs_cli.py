@@ -76,8 +76,8 @@ class TestParser:
     def test_loads_everything(self, sample_path):
         ws = load_workspace([sample_path])
         assert ws.poset("P3").size == 3
-        assert ws.algebra("twojoin").apply("sup", (0, 2)) == 2
-        assert ws.algebra("rmix").apply("scale", (ExtNN(4),)) is not None
+        assert ws.algebra("twojoin").resolve("sup")((0, 2)) == 2
+        assert ws.algebra("rmix").resolve("scale")((ExtNN(4),)) is not None
         assert ws.valuation("mu").mass() == ExtNN.parse("5/6")
         assert ws.functional("phi").components
         assert ws.predicates["f"].values[1] == ExtNN(2)
@@ -93,7 +93,7 @@ class TestParser:
         ws = load_workspace([sample_path])
         # the declared factor realises the op; law checks quantify over the
         # parametric family separately
-        assert ws.algebra("rmix").apply("scale", (ExtNN(4),), ExtNN.parse("1/2")) == ExtNN(2)
+        assert ws.algebra("rmix").resolve("scale", ExtNN.parse("1/2"))((ExtNN(4),)) == ExtNN(2)
 
     def test_parse_error_carries_location(self, tmp_path):
         path = tmp_path / "broken.defs"
@@ -830,7 +830,7 @@ _PINNED_ERRORS = {
         "ParseError",
         "{path}:2: subfn 'phi' is already defined as a valuation",
     ),
-    "unknown-name": ("map u : nowhere -> C2 { }\n", "UnknownName", "unknown poset 'nowhere'"),
+    "unknown-name": ("map u : nowhere -> C2 { }\n", "UnknownNameAt", "{path}:1: unknown poset 'nowhere'"),
     "unterminated-body": (
         "map u : C2 -> C2 { bot |-> bot;\n top |-> top\n",
         "ParseError",
@@ -889,6 +889,20 @@ def test_label_errors_name_their_file_and_line(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {defs}:3: unknown element 'zz'\n"
+
+
+def test_undefined_names_are_located_in_files_only(tmp_path, capsys):
+    # a file names an undefined algebra on its third line; a command line
+    # names an undefined poset, which has no line
+    defs = tmp_path / "names.defs"
+    defs.write_text("transformer t : C2 -> C2\n\n with nothing\nend\n", encoding="utf-8")
+    assert main(["homs", "C2", "2_ang", "-f", str(defs)]) == 2
+    assert capsys.readouterr().err == f"error: {defs}:3: unknown algebra 'nothing'\n"
+    assert main(["homs", "nowhere", "2_ang"]) == 2
+    assert capsys.readouterr().err == "error: unknown poset 'nowhere'\n"
+    with pytest.raises(UnknownName) as err:
+        Workspace().algebra("nothing")
+    assert type(err.value) is UnknownName
 
 
 def test_non_decimal_arity_is_a_parse_error():

@@ -368,7 +368,7 @@ class TestFamilies:
         space = functional_space(POSETS["A2"], ALGS["2_ang"])
         frees = set(space.free_indices)
         zero = space.space.index(tuple(0 for _ in space.predicates.maps))
-        join_of_deltas = space.func_algebra.apply("join", space.delta_indices)
+        join_of_deltas = space.func_algebra.resolve("join")(space.delta_indices)
         assert frees == set(space.delta_indices) | {zero, join_of_deltas}
 
     def test_free_on_singleton(self):
@@ -424,13 +424,13 @@ class TestLiftingPreservation:
         xs, ys = functional_space(x, r), functional_space(y, r)
         for t in all_state_transformers(x, ys)[:12]:
             for args in itertools.product(range(len(xs.space)), repeat=2):
-                combined = xs.func_algebra.apply("join", args)
+                combined = xs.func_algebra.resolve("join")(args)
                 lhs = kleisli_lift(t, xs.functional(combined)).table
                 parts = tuple(
                     ys.space.index(kleisli_lift(t, xs.functional(a)).table)
                     for a in args
                 )
-                assert lhs == ys.functional(ys.func_algebra.apply("join", parts)).table
+                assert lhs == ys.functional(ys.func_algebra.resolve("join")(parts)).table
 
     def test_lifting_preserves_homs(self):
         x, y = POSETS["A2"], POSETS["C2"]

@@ -385,8 +385,8 @@ class TestPredAlgebra:
         lifted = PredAlgebra(ALGS["rplus_max"], A2)
         f = Predicate(A2, (ExtNN(1), ExtNN(2)))
         g = Predicate(A2, (HALF, ExtNN(5)))
-        assert lifted.apply("add", (f, g)).values == (ExtNN(Fraction(3, 2)), ExtNN(7))
-        assert lifted.apply("scale", (f,), ExtNN(2)).values == (ExtNN(2), ExtNN(4))
+        assert lifted.resolve("add")((f, g)).values == (ExtNN(Fraction(3, 2)), ExtNN(7))
+        assert lifted.resolve("scale", ExtNN(2))((f,)).values == (ExtNN(2), ExtNN(4))
 
     def test_grid_is_characteristic_family(self):
         lifted = PredAlgebra(ALGS["rplus_max"], C2)

@@ -443,18 +443,23 @@ def test_linearity_checks_the_zero_op(monkeypatch):
     c2 = catalog.builtin_posets()["C2"]
     mu = catalog.catalog_valuations(c2)[1]
     zeros = []  # kept alive, so that their ids stay theirs
-    real_apply, real_call = PredAlgebra.apply, SimpleValuation.__call__
+    real_resolve, real_call = PredAlgebra.resolve, SimpleValuation.__call__
 
-    def apply(preds, symbol, args, param=None):
-        out = real_apply(preds, symbol, args, param)
-        if symbol == "zero":
-            zeros.append(out)
-        return out
+    def resolve(preds, symbol, param=None):
+        op = real_resolve(preds, symbol, param)
+
+        def recorded(args):
+            out = op(args)
+            if symbol == "zero":
+                zeros.append(out)
+            return out
+
+        return recorded
 
     def faulty(nu, f):
         return ONE if nu == mu and any(f is z for z in zeros) else real_call(nu, f)
 
-    monkeypatch.setattr(PredAlgebra, "apply", apply)
+    monkeypatch.setattr(PredAlgebra, "resolve", resolve)
     monkeypatch.setattr(SimpleValuation, "__call__", faulty)
     outcome = record(verify_mod.check_valuations(CFG), "valuation.linear")
     assert outcome.witness == {
