@@ -191,12 +191,12 @@ class RatAlgebra:
     """
 
     mode = SAMPLED
+    grid = LAW_GRID
 
-    def __init__(self, name, signature: Signature, ops, grid=LAW_GRID):
+    def __init__(self, name, signature: Signature, ops):
         self.name = name
         self.signature = signature
         self.ops = dict(ops)
-        self.grid = tuple(grid)
         for op in signature.ops:
             if op.symbol not in self.ops:
                 raise UnknownOp(f"no realisation for operation {op.symbol!r}")

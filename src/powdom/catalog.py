@@ -1,18 +1,23 @@
 """Built-in posets, algebras and valuation families used by the CLI and the
 verification suite.
 
-Posets cover the shapes where double exponentials stay enumerable; the
-algebras cover plain and tagged structures on the two-element chain and on
-the extended nonnegative rationals.  The tags on the mixed rational
-algebras make their tag-relaxed morphisms exactly the sublinear
-(``rplus_max``) and superlinear (``rplus_min``) functionals: addition is
-lax where subadditivity is wanted and oplax where superadditivity is,
-while the semilattice op sits on the side that monotone maps satisfy for
-free.
+Posets cover the shapes where double exponentials stay enumerable.  Each
+built-in operation is realised once, in one table per carrier (the
+two-element chain, the extended nonnegative rationals); each built-in
+algebra is one row of ``(symbol, tag)`` pairs over a table, and definition
+files read their ``builtin`` realisations from the rational one.
+
+``lattice2`` is ``frame2`` under a second name, and both stay: printed
+transformer literals read the algebra's name off its functional space, so
+equal algebras under different names must not share a cached space, and
+``lattice2`` is the catalog's own case of that.
 """
 
 from __future__ import annotations
 
+import itertools
+import operator
+from collections import namedtuple
 from fractions import Fraction
 from functools import cache
 
@@ -23,6 +28,8 @@ from .powerdomain import SimpleValuation, dirac
 
 # the two-element chain carrying every two-valued observation algebra
 TWO = FinPoset(("0", "1"), ((True, True), (False, True)))
+
+EQ, LE, GE = OpTag.EQ, OpTag.LE, OpTag.GE
 
 
 def builtin_posets() -> dict:
@@ -51,151 +58,48 @@ def _builtin_poset_instances() -> dict:
     }
 
 
-def _two_table(fn):
-    return {(i, j): fn(i, j) for i in (0, 1) for j in (0, 1)}
+# an op's arity and realisation; a parametric op is a scalar-indexed family,
+# realised with its parameter first
+_Op = namedtuple("_Op", "arity fn parametric", defaults=(False,))
+
+# the two-valued ops, on the indices of "0" < "1"
+TWO_VALUED_OPS = {
+    "join": _Op(2, max),
+    "meet": _Op(2, min),
+    "zero": _Op(0, lambda: 0),
+    "one": _Op(0, lambda: 1),
+}
+
+# the ops on the extended nonnegative rationals
+RATIONAL_OPS = {
+    "add": _Op(2, operator.add),
+    "mul": _Op(2, operator.mul),
+    "max": _Op(2, enn_max),
+    "min": _Op(2, enn_min),
+    "scale": _Op(1, operator.mul, parametric=True),
+    "zero": _Op(0, lambda: ZERO),
+    "one": _Op(0, lambda: ONE),
+}
 
 
-def two_ang() -> FinAlgebra:
-    """Join with bottom: the observation algebra of angelic nondeterminism."""
-    sig = Signature((OpSpec("join", 2, OpTag.EQ), OpSpec("zero", 0, OpTag.EQ)))
-    return FinAlgebra(
-        "2_ang", TWO, sig, {"join": _two_table(max), "zero": {(): 0}}
-    )
+def _signature(table, tagged_ops) -> Signature:
+    return Signature(tuple(OpSpec(s, table[s].arity, tag, table[s].parametric) for s, tag in tagged_ops))
 
 
-def two_dem() -> FinAlgebra:
-    """Meet with top: the observation algebra of demonic nondeterminism."""
-    sig = Signature((OpSpec("meet", 2, OpTag.EQ), OpSpec("one", 0, OpTag.EQ)))
-    return FinAlgebra(
-        "2_dem", TWO, sig, {"meet": _two_table(min), "one": {(): 1}}
-    )
+def two_valued(name, tagged_ops) -> FinAlgebra:
+    """The algebra on TWO with the ``(symbol, OpTag)`` ops of TWO_VALUED_OPS, in order."""
+    sig = _signature(TWO_VALUED_OPS, tagged_ops)
+    tables = {}
+    for op in sig.ops:
+        fn = TWO_VALUED_OPS[op.symbol].fn
+        tables[op.symbol] = {args: fn(*args) for args in itertools.product((0, 1), repeat=op.arity)}
+    return FinAlgebra(name, TWO, sig, tables)
 
 
-def frame_two(name: str = "frame2") -> FinAlgebra:
-    """Both lattice ops with both bounds; frame maps out of powersets pick points."""
-    sig = Signature(
-        (
-            OpSpec("meet", 2, OpTag.EQ),
-            OpSpec("join", 2, OpTag.EQ),
-            OpSpec("zero", 0, OpTag.EQ),
-            OpSpec("one", 0, OpTag.EQ),
-        )
-    )
-    return FinAlgebra(
-        name,
-        TWO,
-        sig,
-        {
-            "meet": _two_table(min),
-            "join": _two_table(max),
-            "zero": {(): 0},
-            "one": {(): 1},
-        },
-    )
-
-
-def _scale(r: ExtNN, x: ExtNN) -> ExtNN:
-    return r * x
-
-
-def rplus_monoid() -> RatAlgebra:
-    """The additive monoid of extended nonnegative rationals."""
-    sig = Signature((OpSpec("add", 2, OpTag.EQ), OpSpec("zero", 0, OpTag.EQ)))
-    return RatAlgebra(
-        "rplus", sig, {"add": lambda a, b: a + b, "zero": lambda: ZERO}
-    )
-
-
-def rplus_semiring() -> RatAlgebra:
-    """Addition and multiplication together; the stock non-entropic example."""
-    sig = Signature(
-        (
-            OpSpec("add", 2, OpTag.EQ),
-            OpSpec("mul", 2, OpTag.EQ),
-            OpSpec("zero", 0, OpTag.EQ),
-            OpSpec("one", 0, OpTag.EQ),
-        )
-    )
-    return RatAlgebra(
-        "rplus_semiring",
-        sig,
-        {
-            "add": lambda a, b: a + b,
-            "mul": lambda a, b: a * b,
-            "zero": lambda: ZERO,
-            "one": lambda: ONE,
-        },
-    )
-
-
-def rplus_cone() -> RatAlgebra:
-    """Cone structure alone, every op tagged EQ.
-
-    Its homomorphisms out of predicate algebras are the linear functionals,
-    the simple valuations among them.
-    """
-    sig = Signature(
-        (
-            OpSpec("add", 2, OpTag.EQ),
-            OpSpec("scale", 1, OpTag.EQ, parametric=True),
-            OpSpec("zero", 0, OpTag.EQ),
-        )
-    )
-    return RatAlgebra(
-        "rplus_cone", sig, {"add": lambda a, b: a + b, "scale": _scale, "zero": lambda: ZERO}
-    )
-
-
-def rplus_max() -> RatAlgebra:
-    """Cone structure plus binary max, tagged for the mixed angelic laws.
-
-    Addition is lax and max oplax, so the tag-relaxed morphisms out of
-    predicate algebras are the sublinear functionals.
-    """
-    sig = Signature(
-        (
-            OpSpec("add", 2, OpTag.LE),
-            OpSpec("max", 2, OpTag.GE),
-            OpSpec("scale", 1, OpTag.EQ, parametric=True),
-            OpSpec("zero", 0, OpTag.EQ),
-        )
-    )
-    return RatAlgebra(
-        "rplus_max",
-        sig,
-        {
-            "add": lambda a, b: a + b,
-            "max": enn_max,
-            "scale": _scale,
-            "zero": lambda: ZERO,
-        },
-    )
-
-
-def rplus_min() -> RatAlgebra:
-    """Cone structure plus binary min, tagged for the mixed demonic laws.
-
-    Addition is oplax and min lax, so the tag-relaxed morphisms are the
-    superlinear functionals.
-    """
-    sig = Signature(
-        (
-            OpSpec("add", 2, OpTag.GE),
-            OpSpec("min", 2, OpTag.LE),
-            OpSpec("scale", 1, OpTag.EQ, parametric=True),
-            OpSpec("zero", 0, OpTag.EQ),
-        )
-    )
-    return RatAlgebra(
-        "rplus_min",
-        sig,
-        {
-            "add": lambda a, b: a + b,
-            "min": enn_min,
-            "scale": _scale,
-            "zero": lambda: ZERO,
-        },
-    )
+def rational(name, tagged_ops) -> RatAlgebra:
+    """The algebra on ExtNN with the ``(symbol, OpTag)`` ops of RATIONAL_OPS, in order."""
+    sig = _signature(RATIONAL_OPS, tagged_ops)
+    return RatAlgebra(name, sig, {op.symbol: RATIONAL_OPS[op.symbol].fn for op in sig.ops})
 
 
 def builtin_algebras() -> dict:
@@ -209,17 +113,26 @@ def builtin_algebras() -> dict:
 
 @cache
 def _builtin_algebra_instances() -> dict:
-    return {
-        "2_ang": two_ang(),
-        "2_dem": two_dem(),
-        "frame2": frame_two("frame2"),
-        "lattice2": frame_two("lattice2"),
-        "rplus": rplus_monoid(),
-        "rplus_semiring": rplus_semiring(),
-        "rplus_cone": rplus_cone(),
-        "rplus_max": rplus_max(),
-        "rplus_min": rplus_min(),
-    }
+    algebras = (
+        # join with bottom: the observation algebra of angelic nondeterminism
+        two_valued("2_ang", (("join", EQ), ("zero", EQ))),
+        # meet with top: the observation algebra of demonic nondeterminism
+        two_valued("2_dem", (("meet", EQ), ("one", EQ))),
+        # both lattice ops with both bounds; frame maps out of powersets pick points
+        two_valued("frame2", (("meet", EQ), ("join", EQ), ("zero", EQ), ("one", EQ))),
+        # frame2 under a second name; the module docstring says why it stays
+        two_valued("lattice2", (("meet", EQ), ("join", EQ), ("zero", EQ), ("one", EQ))),
+        rational("rplus", (("add", EQ), ("zero", EQ))),  # the additive monoid
+        # addition and multiplication: the stock non-entropic example
+        rational("rplus_semiring", (("add", EQ), ("mul", EQ), ("zero", EQ), ("one", EQ))),
+        # all EQ: its homs out of predicate algebras are the linear functionals
+        rational("rplus_cone", (("add", EQ), ("scale", EQ), ("zero", EQ))),
+        # add lax, max oplax: its relaxed morphisms are the sublinear functionals
+        rational("rplus_max", (("add", LE), ("max", GE), ("scale", EQ), ("zero", EQ))),
+        # add oplax, min lax: its relaxed morphisms are the superlinear functionals
+        rational("rplus_min", (("add", GE), ("min", LE), ("scale", EQ), ("zero", EQ))),
+    )
+    return {algebra.name: algebra for algebra in algebras}
 
 
 def catalog_valuations(poset: FinPoset):

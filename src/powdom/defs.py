@@ -36,6 +36,8 @@ assigned to x as a total table over the monotone predicates on the target,
 each predicate written as its value tuple in element order.  Predicate
 transformers use the same shape with ``at [g values] { x |-> r; ... }``.
 Built-in catalog names are always in scope; files may not redefine them.
+The name ``extnn`` is reserved: ``algebra NAME on extnn`` always means the
+extended nonnegative rationals, so no poset may be called that.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ from dataclasses import dataclass, field
 from . import catalog
 from .algebra import FinAlgebra, OpSpec, OpTag, RatAlgebra, Signature
 from .errors import ParseError, PowdomError, UnknownName, UnknownNameAt
-from .extnum import ExtNN, enn_max, enn_min
+from .extnum import ExtNN
 from .funcspace import MonoMap
 from .monad import PredicateTransformer, StateTransformer, functional_space
 from .poset import FinPoset, poset_from_cover
@@ -247,6 +249,8 @@ def _parse_indices(lex: _Lexer, carrier: FinPoset, opener, closer) -> tuple:
 
 def _parse_poset(ws: Workspace, lex: _Lexer, line):
     name = lex.next()
+    if name == "extnn":
+        raise lex.error("poset name 'extnn' is reserved for the rational carrier", line)
     labels, covers = [], []
     while (word := lex.next()) != "end":
         if word == "elems":
@@ -276,18 +280,14 @@ def _parse_extnn(lex: _Lexer) -> ExtNN:
     return _parse_literal(lex, ExtNN.parse, "bad numeric literal {!r}")
 
 
-_BUILTIN_OPS = {
-    "add": lambda a, b: a + b,
-    "mul": lambda a, b: a * b,
-    "max": enn_max,
-    "min": enn_min,
-}
+# the binary ``builtin`` kinds, realised by the catalog's rational ops
+_BUILTIN_OPS = {kind: catalog.RATIONAL_OPS[kind].fn for kind in ("add", "mul", "max", "min")}
 
 
 def _parse_algebra(ws: Workspace, lex: _Lexer, line):
     name = lex.next()
     lex.next("on")
-    # ``extnn`` is the rational carrier, even where a poset has that name
+    # ``extnn`` is the rational carrier, a name no poset may take
     carrier = lex.named({**ws.posets, "extnn": None}, "poset")
     ops, tables, builtins = [], {}, {}
     while (word := lex.next()) != "end":
@@ -341,7 +341,7 @@ def _assemble_algebra(name, carrier, ops, tables, builtins):
         if kind == "scale":
             if arity != 1:
                 raise PowdomError("scale realises a unary operation")
-            realisations[sym] = lambda x, r=arg: r * x
+            realisations[sym] = functools.partial(catalog.RATIONAL_OPS["scale"].fn, arg)
         elif kind == "const":
             if arity != 0:
                 raise PowdomError("const realises a nullary operation")

@@ -34,10 +34,6 @@ class NotMonotone(PowdomError):
     """A table violates monotonicity."""
 
 
-class NonMonotoneResult(NotMonotone):
-    """A derived map turned out non-monotone (defensive; unreachable for valid inputs)."""
-
-
 class TypeMismatch(PowdomError):
     """Source/target posets or carriers of the operands do not match."""
 

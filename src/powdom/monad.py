@@ -38,7 +38,7 @@ from .algebra import (
     is_relaxed_morphism,
     lift_pointwise,
 )
-from .errors import NonMonotoneResult, TypeMismatch
+from .errors import TypeMismatch
 from .funcspace import MonoMap, enumerate_monotone
 from .poset import FinPoset, sub_poset
 from .sampling import DEFAULT_SIZE_GUARD
@@ -60,9 +60,7 @@ class FunctionalSpace:
         self.predicates = self.pred_algebra.expo
         self.func_algebra = lift_pointwise(algebra, self.predicates.poset, size_guard)
         self.space = self.func_algebra.expo
-        self.delta_indices = _transpose(
-            [m.table for m in self.predicates.maps], x.size, self.space, "point evaluation is not monotone"
-        )
+        self.delta_indices = _transpose([m.table for m in self.predicates.maps], x.size, self.space)
         self._hom = None
         self._relaxed = None
         self._free = None
@@ -119,13 +117,10 @@ class FunctionalSpace:
         return sub_poset(self.space.poset, indices)
 
 
-def _transpose(rows, width, expo, message) -> tuple:
+def _transpose(rows, width, expo) -> tuple:
     """The index in ``expo`` of each of the ``width`` columns of ``rows``;
     ``width`` is given because over the empty poset there are no rows."""
-    try:
-        return tuple(expo.index(tuple(row[c] for row in rows)) for c in range(width))
-    except TypeMismatch:
-        raise NonMonotoneResult(message) from None
+    return tuple(expo.index(tuple(row[c] for row in rows)) for c in range(width))
 
 
 @lru_cache(maxsize=None)
@@ -169,9 +164,7 @@ class StateTransformer:
             space = self.space
             x_space = functional_space(self.source, space.algebra, space.size_guard)
             functionals = [space.functional(k).table for k in self.table]
-            table = _transpose(
-                functionals, len(space.predicates), x_space.predicates, "transformed predicate is not monotone"
-            )
+            table = _transpose(functionals, len(space.predicates), x_space.predicates)
             self._p = PredicateTransformer(space, x_space, table)
         return self._p
 
@@ -264,7 +257,7 @@ def p_transform(t: StateTransformer) -> PredicateTransformer:
 def q_transform(s: PredicateTransformer) -> StateTransformer:
     """Predicate to state transformer: x |-> (g |-> s(g)(x))."""
     predicates = [s.x_space.predicates.maps[k].table for k in s.table]
-    table = _transpose(predicates, s.x_space.x.size, s.y_space.space, "resulting functional is not monotone")
+    table = _transpose(predicates, s.x_space.x.size, s.y_space.space)
     return s.y_space.transformer(s.x_space.x, table)
 
 

@@ -181,26 +181,16 @@ def poset_from_cover(labels, cover_pairs) -> FinPoset:
     return FinPoset(labels, tuple(tuple(row) for row in leq))
 
 
-UP = "up"
-DOWN = "down"
-ANY = "any"
-
-
 @dataclass(frozen=True)
 class ElemSet:
-    """A subset of a poset's elements as a bitmask, tagged by closure kind."""
+    """A subset of a poset's elements as a bitmask."""
 
     poset: FinPoset
     mask: int
-    kind: str = ANY
 
     def __post_init__(self):
         if self.mask < 0 or self.mask >= (1 << self.poset.size):
             raise UnknownElement(f"bitmask {self.mask} out of range")
-        if self.kind == UP and not _is_up_closed(self.poset, self.mask):
-            raise InvalidOrder("set is not up-closed")
-        if self.kind == DOWN and not _is_down_closed(self.poset, self.mask):
-            raise InvalidOrder("set is not down-closed")
 
     def members(self):
         return tuple(i for i in range(self.poset.size) if self.mask >> i & 1)
@@ -213,8 +203,7 @@ class ElemSet:
 
     def complement(self) -> "ElemSet":
         full = (1 << self.poset.size) - 1
-        flip = {UP: DOWN, DOWN: UP, ANY: ANY}[self.kind]
-        return ElemSet(self.poset, full & ~self.mask, flip)
+        return ElemSet(self.poset, full & ~self.mask)
 
     def label(self) -> str:
         return "{" + ",".join(self.member_labels()) + "}"
@@ -242,15 +231,13 @@ def all_up_sets(poset: FinPoset, size_guard: int = DEFAULT_SIZE_GUARD):
     For a finite poset these are exactly the Scott-open sets.
     """
     count = _guard_subsets(poset.size, size_guard)
-    return [ElemSet(poset, mask, UP) for mask in range(count) if _is_up_closed(poset, mask)]
+    return [ElemSet(poset, mask) for mask in range(count) if _is_up_closed(poset, mask)]
 
 
 def all_down_sets(poset: FinPoset, size_guard: int = DEFAULT_SIZE_GUARD):
     """Every down-closed subset (the Scott-closed sets), ascending bitmask."""
     count = _guard_subsets(poset.size, size_guard)
-    return [
-        ElemSet(poset, mask, DOWN) for mask in range(count) if _is_down_closed(poset, mask)
-    ]
+    return [ElemSet(poset, mask) for mask in range(count) if _is_down_closed(poset, mask)]
 
 
 def product_poset(x: FinPoset, y: FinPoset) -> FinPoset:

@@ -25,9 +25,6 @@ from .algebra import (
     CheckOutcome,
     EndoAction,
     FinAlgebra,
-    OpSpec,
-    OpTag,
-    Signature,
     check_module_axioms,
     commutes,
     endomorphisms,
@@ -208,13 +205,7 @@ def check_funcspace(cfg: SuiteConfig):
 
 
 def _two_ang_le() -> FinAlgebra:
-    sig = Signature((OpSpec("join", 2, OpTag.LE), OpSpec("zero", 0, OpTag.EQ)))
-    return FinAlgebra(
-        "2_ang_le",
-        catalog.TWO,
-        sig,
-        {"join": {(i, j): max(i, j) for i in (0, 1) for j in (0, 1)}, "zero": {(): 0}},
-    )
+    return catalog.two_valued("2_ang_le", (("join", catalog.LE), ("zero", catalog.EQ)))
 
 
 def _family_check(name, posets, r, family, members, cfg):

@@ -705,6 +705,17 @@ _PINNED_ERRORS = {
         "ParseError",
         "{path}:3: unknown builtin realisation 'plus'",
     ),
+    # the catalog's nullary ops are no builtin kinds: only 'const' names a constant
+    "unknown-builtin-zero": (
+        "algebra r on extnn\nop z arity 0 tag EQ\nbuiltin z zero\nend\n",
+        "ParseError",
+        "{path}:3: unknown builtin realisation 'zero'",
+    ),
+    "unknown-builtin-one": (
+        "algebra r on extnn\nop o arity 0 tag EQ\nbuiltin o one\nend\n",
+        "ParseError",
+        "{path}:3: unknown builtin realisation 'one'",
+    ),
     "algebra-keyword": (
         "algebra j on C2\nop join arity 2 tag EQ\nrealise join\nend\n",
         "ParseError",
@@ -714,6 +725,11 @@ _PINNED_ERRORS = {
         "algebra r on extnn\nop add arity 2 tag LE\ntable add { (0,0)->0 }\nend\n",
         "ParseError",
         "{path}:3: tables need a finite carrier; use 'builtin' on extnn",
+    ),
+    "reserved-extnn": (
+        "\nposet extnn\nelems a b\nend\n",
+        "ParseError",
+        "{path}:2: poset name 'extnn' is reserved for the rational carrier",
     ),
     "wrapped-poset": (
         "poset X\nelems a b\nle a b\nle b a\nend\n",
@@ -889,6 +905,17 @@ def test_label_errors_name_their_file_and_line(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {defs}:3: unknown element 'zz'\n"
+
+
+def test_a_poset_named_extnn_is_refused(tmp_path, capsys):
+    # ``on extnn`` always means the rational carrier, so no algebra could
+    # ever sit on a file-defined poset of that name
+    defs = tmp_path / "extnn.defs"
+    defs.write_text("poset extnn\nelems a b\nle a b\nend\n", encoding="utf-8")
+    assert main(["export-dot", "extnn", "-f", str(defs)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {defs}:1: poset name 'extnn' is reserved for the rational carrier\n"
 
 
 def test_undefined_names_are_located_in_files_only(tmp_path, capsys):
