@@ -26,7 +26,7 @@ import itertools
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property, partial
-from operator import is_not
+from operator import eq, is_not
 
 from .errors import (
     ArityMismatch,
@@ -354,10 +354,13 @@ def _resolver(algebra, spec):
     return {None: algebra.resolve(spec.symbol)}.__getitem__
 
 
-def _relation_holds(relation: OpTag, algebra, lhs, rhs) -> bool:
+def _holds(relation: OpTag, algebra):
+    """``(lhs, rhs) -> bool``: the relation on the algebra's carrier, chosen once."""
     if relation is OpTag.EQ:
-        return lhs == rhs
-    return algebra.leq(lhs, rhs) if relation is OpTag.LE else algebra.leq(rhs, lhs)
+        return eq
+    if relation is OpTag.LE:
+        return algebra.leq
+    return lambda lhs, rhs: algebra.leq(rhs, lhs)
 
 
 _REL_TEXT = {OpTag.EQ: "=", OpTag.LE: "<=", OpTag.GE: ">="}
@@ -368,21 +371,24 @@ def _interchange_check(algebra, sigma: str, omega: str, relation: OpTag, rng, tr
     s_spec, o_spec = algebra.signature.spec(sigma), algebra.signature.spec(omega)
     n, m = s_spec.arity, o_spec.arity
     s_at, o_at = _resolver(algebra, s_spec), _resolver(algebra, o_spec)
+    holds = _holds(relation, algebra)
+    # the matrix is the flat instance read as n rows of m: row i is the slice
+    # [i*m:(i+1)*m] and column j the slice [j::m] (with n = 0 each is empty)
+    rows = [slice(i * m, (i + 1) * m) for i in range(n)]
+    columns = [slice(j, None, m) for j in range(m)]
 
     def instance_fails(flat, params):
         s_param, o_param = params
         s_op, o_op = s_at(s_param), o_at(o_param)
-        matrix = tuple(flat[i * m : (i + 1) * m] for i in range(n))
-        lhs = s_op(tuple(map(o_op, matrix)))
-        columns = (tuple(matrix[i][j] for i in range(n)) for j in range(m))
-        rhs = o_op(tuple(map(s_op, columns)))
-        if _relation_holds(relation, algebra, lhs, rhs):
+        lhs = s_op(tuple([o_op(flat[r]) for r in rows]))
+        rhs = o_op(tuple([s_op(flat[c]) for c in columns]))
+        if holds(lhs, rhs):
             return None
         return {
             "sigma": sigma,
             "omega": omega,
             "relation": _REL_TEXT[relation],
-            "matrix": [[algebra.value_str(v) for v in row] for row in matrix],
+            "matrix": [[algebra.value_str(v) for v in flat[r]] for r in rows],
             "sigma_param": None if s_param is None else algebra.value_str(s_param),
             "omega_param": None if o_param is None else algebra.value_str(o_param),
             "lhs": algebra.value_str(lhs),
@@ -451,10 +457,11 @@ def _morphism_check(phi, b, r, relation_for, rng, trials, name) -> CheckOutcome:
 
     def op_failures(op, relation):
         b_at, r_at = _resolver(b, op), _resolver(r, op)
+        holds = _holds(relation, r)
         for args, (param,) in _instances(b, op.arity, (op,), rng, trials):
             lhs = fn(b_at(param)(args))
             rhs = r_at(param)(tuple(map(fn, args)))
-            if not _relation_holds(relation, r, lhs, rhs):
+            if not holds(lhs, rhs):
                 yield {
                     "op": op.symbol,
                     "relation": _REL_TEXT[relation],

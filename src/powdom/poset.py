@@ -64,6 +64,7 @@ class FinPoset:
                     raise InvalidOrder(f"relation not transitive via {labels[j]}")
         object.__setattr__(self, "_up", up)
         object.__setattr__(self, "_covers", None)
+        object.__setattr__(self, "_strict_below", None)
 
     @property
     def size(self) -> int:
@@ -77,9 +78,6 @@ class FinPoset:
             return self.labels.index(label)
         except ValueError:
             raise UnknownLabel(f"unknown element {label!r}") from None
-
-    def leq_idx(self, i: int, j: int) -> bool:
-        return self.leq[i][j]
 
     def leq_label(self, a: str, b: str) -> bool:
         return self.leq[self.index(a)][self.index(b)]
@@ -105,6 +103,14 @@ class FinPoset:
                         out.append((i, j))
             object.__setattr__(self, "_covers", tuple(out))
         return self._covers
+
+    def strict_below(self):
+        """For each element i, the indices strictly below it, ascending; cached."""
+        if self._strict_below is None:
+            leq, n = self.leq, self.size
+            below = tuple(tuple(j for j in range(n) if j != i and leq[j][i]) for i in range(n))
+            object.__setattr__(self, "_strict_below", below)
+        return self._strict_below
 
     def linear_extension(self):
         """Element indices sorted bottom-up, stable on incomparable elements."""

@@ -6,6 +6,11 @@ runs in two phases, exhaustively over a small fixed grid and then over
 seeded random tuples, and ``two_phase`` is the one place that orders them.
 Per-task seeds are derived from the run seed and the task label so that
 independent checks draw independent but reproducible streams.
+
+Draws replay CPython's ``randrange`` bit rule through ``getrandbits``, so
+values and rng states are those of the ``randrange`` calls they stand for.
+No report digest can catch a changed draw (a law that holds at one stream
+holds at most others), so ``tests/test_sampling.py`` pins the stream.
 """
 
 from __future__ import annotations
@@ -13,7 +18,6 @@ from __future__ import annotations
 import random
 import zlib
 from fractions import Fraction
-from math import gcd
 
 from .extnum import ExtNN, INF
 
@@ -69,14 +73,30 @@ def two_phase(grid, draw, trials):
             yield draw()
 
 
+# the finite draws: num/den for num in [0, 25) and den in [1, 13) is _FINITE[num][den - 1]
+_FINITE = tuple(tuple(ExtNN(Fraction(n, d)) for d in range(1, 13)) for n in range(25))
+
+
 def random_extnn(rng: random.Random) -> ExtNN:
-    """A varied stream of small exact values; infinity with probability 1/16."""
-    if rng.randrange(16) == 0:
+    """A varied stream of small exact values; infinity with probability 1/16.
+
+    It draws ``randrange(16)``, then (unless that was 0) ``randrange(0, 25)``
+    and ``randrange(1, 13)``, each by CPython's ``_randbelow_with_getrandbits``
+    rule: ``k = n.bit_length()`` bits, drawn again while the result is >= n.
+    """
+    bits = rng.getrandbits
+    r = bits(5)
+    while r >= 16:
+        r = bits(5)
+    if r == 0:
         return INF
-    num = rng.randrange(0, 25)
-    den = rng.randrange(1, 13)
-    g = gcd(num, den)
-    return ExtNN._wrap(num // g, den // g)
+    num = bits(5)
+    while num >= 25:
+        num = bits(5)
+    den = bits(4)
+    while den >= 12:
+        den = bits(4)
+    return _FINITE[num][den]
 
 
 def random_monotone_values(poset, rng: random.Random):
@@ -87,10 +107,9 @@ def random_monotone_values(poset, rng: random.Random):
     """
     raw = [random_extnn(rng) for _ in poset.labels]
     vals = []
-    for i in range(len(poset.labels)):
-        best = raw[i]
-        for j in range(len(poset.labels)):
-            if poset.leq_idx(j, i) and best < raw[j]:
+    for best, below in zip(raw, poset.strict_below()):
+        for j in below:
+            if best < raw[j]:
                 best = raw[j]
         vals.append(best)
     return tuple(vals)

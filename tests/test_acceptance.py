@@ -12,10 +12,7 @@ from fractions import Fraction
 
 from powdom import catalog
 from powdom.algebra import (
-    FinAlgebra,
-    OpSpec,
     OpTag,
-    Signature,
     check_module_axioms,
     is_entropic,
     is_homomorphism,
@@ -137,13 +134,7 @@ def test_criterion_5_entropicity_matrix():
 
 
 def _two_ang_le():
-    sig = Signature((OpSpec("join", 2, OpTag.LE), OpSpec("zero", 0, OpTag.EQ)))
-    return FinAlgebra(
-        "2_ang_le",
-        catalog.TWO,
-        sig,
-        {"join": {(i, j): max(i, j) for i in (0, 1) for j in (0, 1)}, "zero": {(): 0}},
-    )
+    return catalog.two_valued("2_ang_le", (("join", OpTag.LE), ("zero", OpTag.EQ)))
 
 
 def test_criterion_6_containments():

@@ -24,6 +24,7 @@ from powdom.algebra import (
     map_action,
     scalar_action,
     subcommutes,
+    supercommutes,
 )
 from powdom.errors import (
     ArityMismatch,
@@ -44,13 +45,7 @@ ALGS = catalog.builtin_algebras()
 
 
 def tagged_two_ang(tag):
-    sig = Signature((OpSpec("join", 2, tag), OpSpec("zero", 0, OpTag.EQ)))
-    return FinAlgebra(
-        f"2_ang_{tag.value}",
-        catalog.TWO,
-        sig,
-        {"join": {(i, j): max(i, j) for i in (0, 1) for j in (0, 1)}, "zero": {(): 0}},
-    )
+    return catalog.two_valued(f"2_ang_{tag.value}", (("join", tag), ("zero", OpTag.EQ)))
 
 
 class TestLifting:
@@ -210,6 +205,31 @@ class TestInterchange:
     def test_unknown_op(self):
         with pytest.raises(UnknownOp):
             commutes(ALGS["2_ang"], "join", "nope")
+
+    @pytest.mark.parametrize(
+        "check, name, sigma, omega, relation, matrix, lhs, rhs",
+        [
+            # 2x2 over a finite carrier
+            (commutes, "lattice2", "meet", "join", "=", [["0", "1"], ["1", "0"]], "1", "0"),
+            # 2x2 over ExtNN, from the grid
+            (commutes, "rplus_semiring", "add", "mul", "=", [["0", "1/3"], ["1/3", "0"]], "0", "1/9"),
+            # two constants: no rows, no columns
+            (commutes, "frame2", "zero", "one", "=", [], "0", "1"),
+            # n = 0 over ExtNN
+            (commutes, "rplus_semiring", "one", "add", "=", [], "1", "2"),
+            # m = 0: two empty rows
+            (commutes, "rplus_semiring", "add", "one", "=", [[], []], "2", "1"),
+            (subcommutes, "rplus_max", "add", "max", "<=", [["0", "1/3"], ["1/3", "0"]], "2/3", "1/3"),
+            (supercommutes, "rplus_min", "add", "min", ">=", [["0", "1/3"], ["1/3", "0"]], "0", "1/3"),
+        ],
+    )
+    def test_witness_is_pinned(self, check, name, sigma, omega, relation, matrix, lhs, rhs):
+        outcome = check(ALGS[name], sigma, omega)
+        assert not outcome.passed
+        assert outcome.witness == {
+            "sigma": sigma, "omega": omega, "relation": relation, "matrix": matrix,
+            "sigma_param": None, "omega_param": None, "lhs": lhs, "rhs": rhs,
+        }
 
     def test_transpose_symmetry(self):
         for alg in (ALGS["2_ang"], ALGS["lattice2"]):

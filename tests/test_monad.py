@@ -4,7 +4,7 @@ from functools import lru_cache
 import pytest
 
 from powdom import catalog, monad
-from powdom.algebra import FinAlgebra, OpSpec, OpTag, Signature, is_homomorphism
+from powdom.algebra import OpTag, is_homomorphism
 from powdom.errors import NotMonotone, SizeGuardExceeded, TypeMismatch
 from powdom.funcspace import MonoMap, compose, enumerate_monotone, identity_map
 from powdom.monad import (
@@ -28,13 +28,7 @@ ALGS = catalog.builtin_algebras()
 
 
 def tagged_two_ang(tag):
-    sig = Signature((OpSpec("join", 2, tag), OpSpec("zero", 0, OpTag.EQ)))
-    return FinAlgebra(
-        f"2_ang_{tag.value}",
-        catalog.TWO,
-        sig,
-        {"join": {(i, j): max(i, j) for i in (0, 1) for j in (0, 1)}, "zero": {(): 0}},
-    )
+    return catalog.two_valued(f"2_ang_{tag.value}", (("join", tag), ("zero", OpTag.EQ)))
 
 
 class TestDelta:
