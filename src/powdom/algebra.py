@@ -38,7 +38,7 @@ from .errors import (
 )
 from .extnum import ONE, enn_mul
 from .funcspace import ExpPoset, MonoMap, compose, enumerate_monotone, identity_map
-from .poset import FinPoset
+from .poset import FinPoset, _trusted
 from .sampling import (
     DEFAULT_SIZE_GUARD,
     DEFAULT_TRIALS,
@@ -101,13 +101,13 @@ class FinAlgebra:
     """A finite poset carrier with one monotone table per operation."""
 
     mode = EXHAUSTIVE
+    expo = None  # the exponential carrying an algebra built by lift_pointwise
 
-    def __init__(self, name, carrier: FinPoset, signature: Signature, tables, expo=None):
+    def __init__(self, name, carrier: FinPoset, signature: Signature, tables):
         self.name = name
         self.carrier = carrier
         self.signature = signature
         self.tables = {sym: dict(tbl) for sym, tbl in tables.items()}
-        self.expo = expo  # set when this algebra was built by pointwise lifting
         self._validate()
 
     @cached_property
@@ -247,27 +247,32 @@ def _param_grid(algebra, spec):
 def lift_pointwise(algebra: FinAlgebra, base: FinPoset, size_guard: int = DEFAULT_SIZE_GUARD) -> FinAlgebra:
     """The algebra on the exponential [base -> carrier], ops applied pointwise.
 
-    Each entry reads the base op table directly on the zipped argument
-    tables.  The lifted algebra is then validated in full like any other
-    FinAlgebra: every entry present and in range, and every op monotone in
-    each argument along the upper covers of the carrier.
+    Each op of arity >= 1 is curried in its last argument: one list per
+    prefix of base values, so a lifted entry is one gather of the prefix's
+    lists at the last argument's table.  The lifted algebra is total and
+    monotone by construction (the base algebra was validated, and pointwise
+    ops preserve monotone maps), so it is built on the trusted path.
     """
     expo = enumerate_monotone(base, algebra.carrier, size_guard)
     rows = [m.table for m in expo.maps]
+    by_table = expo._by_table
+    values = range(algebra.carrier.size)
     tables = {}
     for op in algebra.signature.ops:
         base_table = algebra.tables[op.symbol]
         if op.arity == 0:
-            table = {(): expo.index((base_table[()],) * base.size)}
-        else:
-            table = {}
-            for args in itertools.product(range(len(rows)), repeat=op.arity):
-                result = tuple(map(base_table.__getitem__, zip(*[rows[a] for a in args])))
-                table[args] = expo.index(result)
-        tables[op.symbol] = table
-    return FinAlgebra(
-        f"{algebra.name}^[{base.size}]", expo.poset, algebra.signature, tables, expo=expo
-    )
+            tables[op.symbol] = {(): by_table[(base_table[()],) * base.size]}
+            continue
+        prefixes = itertools.product(values, repeat=op.arity - 1)
+        curried = {p: [base_table[p + (v,)] for v in values] for p in prefixes}
+        table = tables[op.symbol] = {}
+        for prefix in itertools.product(range(len(rows)), repeat=op.arity - 1):
+            points = zip(*[rows[a] for a in prefix]) if prefix else [()] * base.size
+            lists = list(map(curried.__getitem__, points))
+            for a, row in enumerate(rows):
+                table[prefix + (a,)] = by_table[tuple(map(list.__getitem__, lists, row))]
+    name = f"{algebra.name}^[{base.size}]"
+    return _trusted(FinAlgebra, name=name, carrier=expo.poset, signature=algebra.signature, tables=tables, expo=expo)
 
 
 # ---------------------------------------------------------------------------

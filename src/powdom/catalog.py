@@ -1,5 +1,4 @@
-"""Built-in posets, algebras and valuation families used by the CLI and the
-verification suite.
+"""Built-in posets and algebras used by the CLI and the verification suite.
 
 Posets cover the shapes where double exponentials stay enumerable.  Each
 built-in operation is realised once, in one table per carrier (the
@@ -18,13 +17,11 @@ from __future__ import annotations
 import itertools
 import operator
 from collections import namedtuple
-from fractions import Fraction
 from functools import cache
 
 from .algebra import FinAlgebra, OpSpec, OpTag, RatAlgebra, Signature
-from .extnum import ExtNN, ONE, ZERO, enn_max, enn_min
+from .extnum import ONE, ZERO, enn_max, enn_min
 from .poset import FinPoset, poset_from_cover, product_poset
-from .powerdomain import SimpleValuation, dirac
 
 # the two-element chain carrying every two-valued observation algebra
 TWO = FinPoset(("0", "1"), ((True, True), (False, True)))
@@ -133,32 +130,3 @@ def _builtin_algebra_instances() -> dict:
         rational("rplus_min", (("add", GE), ("min", LE), ("scale", EQ), ("zero", EQ))),
     )
     return {algebra.name: algebra for algebra in algebras}
-
-
-def catalog_valuations(poset: FinPoset):
-    """A deterministic small family of valuations over the poset."""
-    half = ExtNN(Fraction(1, 2))
-    third = ExtNN(Fraction(1, 3))
-    two = ExtNN(2)
-    out = [dirac(poset, i) for i in range(poset.size)]
-    for i in range(poset.size):
-        j = (i + 1) % poset.size
-        if i != j:
-            out.append(SimpleValuation(poset, ((half, i), (third, j))))
-    out.append(dirac(poset, 0).scale(two))
-    if poset.size > 1:
-        out.append(SimpleValuation(poset, ((ExtNN(None), 0), (ONE, poset.size - 1))))
-    return out
-
-
-def catalog_envelopes(poset: FinPoset, envelope, cap: int = 12):
-    """Envelopes of one type (SubFn or SupFn) formed from one or two catalog
-    valuations, deterministically."""
-    vals = catalog_valuations(poset)
-    out = [envelope((v,)) for v in vals[: cap // 2]]
-    for i in range(len(vals)):
-        for j in range(i + 1, len(vals)):
-            if len(out) >= cap:
-                return out
-            out.append(envelope((vals[i], vals[j])))
-    return out

@@ -24,13 +24,14 @@ from .algebra import (
     is_relaxed_entropic,
     is_relaxed_morphism,
 )
-from .catalog import builtin_algebras, catalog_valuations
+from .catalog import builtin_algebras
 from .defs import load_workspace, ptransformer_literal, transformer_literal
 from .errors import PowdomError, SizeGuardExceeded, UnknownName
 from .monad import functional_space, p_transform, q_transform
 from .powerdomain import (
     SET_POWERDOMAINS,
     PredAlgebra,
+    catalog_valuations,
     check_linear_side,
     dirac,
     domination_check,

@@ -1,16 +1,19 @@
 """Monotone maps between finite posets and enumerated exponentials [X -> Y].
 
 A monotone total map is the finite stand-in for a Scott-continuous
-function.  The exponential carries the pointwise order and is itself
-materialised as a FinPoset so that further exponentials can be taken.
+function.  The exponential carries the pointwise order, a partial order by
+construction, as a trusted FinPoset so that further exponentials can be taken.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from itertools import compress
+from operator import and_, or_
 
 from .errors import NotMonotone, SizeGuardExceeded, TypeMismatch
-from .poset import FinPoset
+from .poset import FinPoset, _trusted
 from .sampling import DEFAULT_SIZE_GUARD
 
 
@@ -80,28 +83,37 @@ def precompose(u: MonoMap, g: MonoMap) -> MonoMap:
     return compose(u, g)
 
 
+_BIT = {"0": False, "1": True}
+
+
 class ExpPoset:
     """Monotone maps X -> Y with the pointwise order, as a poset: all of them,
     or a family of them such as End(A).
 
     Maps are listed in ascending lexicographic order of their tables; the
-    materialised poset uses the tables as element labels, and its order is
-    read pointwise off the tables and the target's order.
+    poset uses the tables as element labels.  Its order is built as bitmask
+    up rows: one mask per point x and target value v of the maps whose value
+    at x lies above v, ANDed over the points of each map.
     """
 
     def __init__(self, source: FinPoset, target: FinPoset, maps):
         self.source = source
         self.target = target
         self.maps = tuple(maps)
-        self._by_table = {m.table: i for i, m in enumerate(self.maps)}
-        labels = tuple(m.key() for m in self.maps)
         tables = [m.table for m in self.maps]
-        leq = []
-        for a in tables:
-            # a <= b when target.leq[a[x]][b[x]] holds at every point x
-            rows = [target.leq[v] for v in a]
-            leq.append(tuple(all(map(tuple.__getitem__, rows, b)) for b in tables))
-        self.poset = FinPoset(labels, leq)
+        self._by_table = {t: i for i, t in enumerate(tables)}
+        above = []  # above[x][v]: the maps whose value at x lies above v
+        for x in range(source.size):
+            at = [0] * target.size  # at[w]: the maps whose value at x is w
+            for i, t in enumerate(tables):
+                at[t[x]] |= 1 << i
+            above.append([reduce(or_, compress(at, row), 0) for row in target.leq])
+        n = len(tables)
+        up = tuple(reduce(and_, map(list.__getitem__, above, t), (1 << n) - 1) for t in tables)
+        # row i of leq reads bit j of up[i] at position j
+        leq = tuple(tuple(map(_BIT.__getitem__, format(mask, f"0{n}b")[::-1])) for mask in up)
+        labels = tuple(m.key() for m in self.maps)
+        self.poset = _trusted(FinPoset, labels=labels, leq=leq, _up=up)
 
     def __len__(self):
         return len(self.maps)
@@ -127,11 +139,8 @@ def enumerate_monotone(
     if bound > size_guard:
         raise SizeGuardExceeded(bound, size_guard)
     order = source.linear_extension()
+    below = source.strict_below()  # each element's are assigned before it
     n = source.size
-    below = [
-        [order[j] for j in range(k) if source.leq[order[j]][order[k]]]
-        for k in range(n)
-    ]
     assignment = [0] * n
     tables = []
 
@@ -141,11 +150,12 @@ def enumerate_monotone(
             return
         e = order[k]
         for v in range(target.size):
-            if all(target.leq[assignment[b]][v] for b in below[k]):
+            if all(target.leq[assignment[b]][v] for b in below[e]):
                 assignment[e] = v
                 backtrack(k + 1)
 
     backtrack(0)
     tables.sort()
-    maps = [MonoMap(source, target, t) for t in tables]
+    # monotone by construction: each value was checked against the values below
+    maps = [_trusted(MonoMap, source=source, target=target, table=t) for t in tables]
     return ExpPoset(source, target, maps)

@@ -27,7 +27,8 @@ from .sampling import DEFAULT_SIZE_GUARD
 class FinPoset:
     """A finite poset: element labels plus a boolean <= matrix.
 
-    The matrix is validated at construction, derived posets included.  Each
+    The matrix is validated at construction; only an exponential's order,
+    a partial order by construction, skips the check (see ``_trusted``).  Each
     row is first packed into a bitmask (``up[i]`` holds every j with
     i <= j); transitivity is then one mask test per related pair,
     ``up[j] & ~up[i]``, so validation takes O(n^2) big-int operations.
@@ -39,6 +40,7 @@ class FinPoset:
 
     labels: tuple
     leq: tuple
+    _covers = _strict_below = None  # computed on first use, then kept
 
     def __post_init__(self):
         labels = tuple(self.labels)
@@ -63,8 +65,6 @@ class FinPoset:
                 if up[j] & ~up_i:
                     raise InvalidOrder(f"relation not transitive via {labels[j]}")
         object.__setattr__(self, "_up", up)
-        object.__setattr__(self, "_covers", None)
-        object.__setattr__(self, "_strict_below", None)
 
     @property
     def size(self) -> int:
@@ -153,6 +153,17 @@ def _bits(mask: int):
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def _trusted(cls, **fields):
+    """An instance of ``cls`` with these fields and none of its checks: the
+    path of derived objects, which are correct by construction.  Fields are
+    set one by one, as ``__init__`` sets them, so that the instance keeps
+    CPython's shared-key attribute layout and reads of it stay as fast."""
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    return obj
 
 
 def poset_from_cover(labels, cover_pairs) -> FinPoset:

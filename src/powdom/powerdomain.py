@@ -21,6 +21,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable, ClassVar
 
 from .algebra import (
@@ -33,10 +34,11 @@ from .algebra import (
     is_homomorphism,
     is_relaxed_morphism,
 )
+from .catalog import builtin_algebras
 from .errors import RejectInteger, TypeMismatch
 from .extnum import ExtNN, ONE, ZERO, enn_dot, enn_max, enn_min, enn_sum
 from .monad import functional_space
-from .poset import ElemSet, FinPoset, all_down_sets, all_up_sets, is_order_iso, set_inclusion_poset
+from .poset import ElemSet, FinPoset, _trusted, all_down_sets, all_up_sets, is_order_iso, set_inclusion_poset
 from .sampling import (
     DEFAULT_SEED,
     DEFAULT_SIZE_GUARD,
@@ -54,7 +56,9 @@ from .sampling import (
 
 @dataclass(frozen=True)
 class Predicate:
-    """A monotone assignment of extended rationals to a finite poset."""
+    """A monotone assignment of extended rationals to a finite poset, checked
+    on every cover unless ``chi``, ``constant_predicate`` or
+    ``random_predicate`` built it monotone."""
 
     poset: FinPoset
     values: tuple
@@ -80,19 +84,17 @@ class Predicate:
 
 
 def constant_predicate(poset: FinPoset, value: ExtNN) -> Predicate:
-    return Predicate(poset, (value,) * poset.size)
+    return _trusted(Predicate, poset=poset, values=(value,) * poset.size)
 
 
 def chi(up_set: ElemSet) -> Predicate:
     """Characteristic predicate of an up-set (1 inside, 0 outside)."""
-    return Predicate(
-        up_set.poset,
-        tuple(ONE if i in up_set else ZERO for i in range(up_set.poset.size)),
-    )
+    values = tuple(ONE if i in up_set else ZERO for i in range(up_set.poset.size))
+    return _trusted(Predicate, poset=up_set.poset, values=values)
 
 
 def random_predicate(poset: FinPoset, rng) -> Predicate:
-    return Predicate(poset, random_monotone_values(poset, rng))
+    return _trusted(Predicate, poset=poset, values=random_monotone_values(poset, rng))
 
 
 class PredAlgebra:
@@ -326,6 +328,35 @@ def _canonical_components(components):
     return tuple(unique[k] for k in sorted(unique))
 
 
+def catalog_valuations(poset: FinPoset):
+    """A deterministic small family of valuations over the poset."""
+    half = ExtNN(Fraction(1, 2))
+    third = ExtNN(Fraction(1, 3))
+    two = ExtNN(2)
+    out = [dirac(poset, i) for i in range(poset.size)]
+    for i in range(poset.size):
+        j = (i + 1) % poset.size
+        if i != j:
+            out.append(SimpleValuation(poset, ((half, i), (third, j))))
+    out.append(dirac(poset, 0).scale(two))
+    if poset.size > 1:
+        out.append(SimpleValuation(poset, ((ExtNN(None), 0), (ONE, poset.size - 1))))
+    return out
+
+
+def catalog_envelopes(poset: FinPoset, envelope, cap: int = 12):
+    """Envelopes of one type (SubFn or SupFn) formed from one or two catalog
+    valuations, deterministically."""
+    vals = catalog_valuations(poset)
+    out = [envelope((v,)) for v in vals[: cap // 2]]
+    for i in range(len(vals)):
+        for j in range(i + 1, len(vals)):
+            if len(out) >= cap:
+                return out
+            out.append(envelope((vals[i], vals[j])))
+    return out
+
+
 # ---------------------------------------------------------------------------
 # nondeterministic powerdomains against their set-based presentations
 
@@ -502,8 +533,6 @@ def check_linear_side(phi, side: LinearSide, trials: int = DEFAULT_TRIALS, seed:
     argument, never read off ``phi``, so any functional can be tested
     against either side.
     """
-    from .catalog import builtin_algebras  # catalog imports this module
-
     algebra = builtin_algebras()[side.algebra]
     preds = PredAlgebra(algebra, phi.poset, size_guard)
     ops = {(op.symbol, op.tag) for op in algebra.signature.ops}

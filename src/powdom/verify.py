@@ -53,6 +53,8 @@ from .poset import all_down_sets, all_up_sets, poset_from_cover
 from .powerdomain import (
     ENVELOPES,
     SET_POWERDOMAINS,
+    catalog_envelopes,
+    catalog_valuations,
     check_linear_side,
     PredAlgebra,
     ValuationAlgebra,
@@ -479,7 +481,7 @@ def check_valuations(cfg: SuiteConfig):
     cone, rplus = algs["rplus_cone"], algs["rplus"]
     # each poset's valuations and its predicates over the cone, shared by the laws
     inputs = [
-        (name, poset, catalog.catalog_valuations(poset), PredAlgebra(cone, poset, cfg.size_guard))
+        (name, poset, catalog_valuations(poset), PredAlgebra(cone, poset, cfg.size_guard))
         for name, poset in cfg.posets().items()
     ]
 
@@ -547,7 +549,7 @@ def check_mixed(cfg: SuiteConfig):
     def failures(envelope):
         side = envelope.side
         for name, poset in posets.items():
-            for i, phi in enumerate(catalog.catalog_envelopes(poset, envelope, cap=6)):
+            for i, phi in enumerate(catalog_envelopes(poset, envelope, cap=6)):
                 seed = derive_seed(cfg.seed, f"mixed.{side.name}.{name}.{i}")
                 outcome = check_linear_side(phi, side, trials, seed, cfg.size_guard)
                 if not outcome.passed:

@@ -37,6 +37,8 @@ from powdom.poset import all_down_sets, all_up_sets, sub_poset
 from powdom.powerdomain import (
     ENVELOPES,
     Predicate,
+    catalog_envelopes,
+    catalog_valuations,
     check_linear_side,
     chi,
     hoare_powerdomain,
@@ -226,7 +228,7 @@ def _scaled(r, f):
 def test_criterion_9_valuation_engine():
     with _Stopwatch("9 valuation engine", 30):
         for name, poset in POSETS.items():
-            vals = catalog.catalog_valuations(poset)
+            vals = catalog_valuations(poset)
             chis = [chi(u) for u in all_up_sets(poset)]
             rng = task_rng(SEED, f"acc9.lin.{name}")
             sampled = [random_predicate(poset, rng) for _ in range(1000)]
@@ -267,7 +269,7 @@ def test_criterion_10_mixed_powerdomains():
         for name in ("C2", "A2", "chain3"):
             poset = POSETS[name]
             for envelope in ENVELOPES:
-                for phi in catalog.catalog_envelopes(poset, envelope, cap=4):
+                for phi in catalog_envelopes(poset, envelope, cap=4):
                     report = check_linear_side(phi, envelope.side, trials=10_000, seed=SEED)
                     assert report.passed, report.as_record()
 

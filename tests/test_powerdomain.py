@@ -143,7 +143,7 @@ class TestValuations:
 
     def test_layer_cake_agrees_with_pointwise(self):
         rng = task_rng(11, "layer-cake")
-        vals = catalog.catalog_valuations(A2)
+        vals = powerdomain.catalog_valuations(A2)
         sample = [random_predicate(A2, rng) for _ in range(300)]
         for mu in vals:
             for nu in vals:
@@ -216,13 +216,13 @@ class TestSubSupFns:
 class TestSublinearity:
     @pytest.mark.parametrize("pname", ["C2", "A2"])
     def test_subfns_pass(self, pname):
-        for phi in catalog.catalog_envelopes(POSETS[pname], SubFn, cap=4):
+        for phi in powerdomain.catalog_envelopes(POSETS[pname], SubFn, cap=4):
             report = check_linear_side(phi, SUBLINEAR, trials=300, seed=42)
             assert report.passed, report.as_record()
 
     @pytest.mark.parametrize("pname", ["C2", "A2"])
     def test_supfns_pass(self, pname):
-        for phi in catalog.catalog_envelopes(POSETS[pname], SupFn, cap=4):
+        for phi in powerdomain.catalog_envelopes(POSETS[pname], SupFn, cap=4):
             report = check_linear_side(phi, SUPERLINEAR, trials=300, seed=42)
             assert report.passed, report.as_record()
 
@@ -247,9 +247,9 @@ class TestSublinearity:
         # morphisms into rplus_max (rplus_min): whole-signature walk as oracle
         poset = POSETS[pname]
         phis = (
-            catalog.catalog_valuations(poset)
-            + catalog.catalog_envelopes(poset, SubFn)
-            + catalog.catalog_envelopes(poset, SupFn)
+            powerdomain.catalog_valuations(poset)
+            + powerdomain.catalog_envelopes(poset, SubFn)
+            + powerdomain.catalog_envelopes(poset, SupFn)
         )
         cases = [(phi, side) for phi in phis for side in SIDES]
         offset = _Offset(SubFn((dirac(poset, 0), dirac(poset, poset.size - 1))))

@@ -17,7 +17,7 @@ from powdom import catalog
 from powdom.algebra import RatAlgebra, Signature
 from powdom.errors import ArityMismatch, UnknownOp
 from powdom.extnum import ExtNN
-from powdom.powerdomain import PredAlgebra, Predicate, ValuationAlgebra
+from powdom.powerdomain import PredAlgebra, Predicate, ValuationAlgebra, catalog_valuations
 
 SRC = Path(powdom.__file__).parent
 SECOND_PATHS = {"apply", "eq"}
@@ -62,7 +62,7 @@ def _kinds():
         "finite": ALGS["2_ang"],
         "rational": ALGS["rplus_cone"],
         "predicates": PredAlgebra(ALGS["rplus_cone"], C2),
-        "valuations": ValuationAlgebra(C2, tuple(catalog.catalog_valuations(C2)[:2])),
+        "valuations": ValuationAlgebra(C2, tuple(catalog_valuations(C2)[:2])),
     }
 
 

@@ -8,7 +8,15 @@ from powdom.algebra import CheckOutcome
 from powdom.extnum import INF, ExtNN, ONE, ZERO
 from powdom.funcspace import enumerate_monotone
 from powdom.monad import StateTransformer, all_state_transformers, check_monad_laws, functional_space
-from powdom.powerdomain import ENVELOPES, SUBLINEAR, Envelope, SubFn, check_linear_side
+from powdom.powerdomain import (
+    ENVELOPES,
+    SUBLINEAR,
+    Envelope,
+    SubFn,
+    catalog_envelopes,
+    catalog_valuations,
+    check_linear_side,
+)
 from powdom.report import Report
 from powdom.verify import SUITE, SuiteConfig, run_suite
 
@@ -106,7 +114,7 @@ def test_mixed_functionals_draw_distinct_streams(monkeypatch):
     checks = verify_mod.check_mixed(cfg)
     assert all(c.passed for c in checks)
     expected = sum(
-        len(catalog.catalog_envelopes(p, envelope, cap=6))
+        len(catalog_envelopes(p, envelope, cap=6))
         for p in cfg.posets().values()
         for envelope in ENVELOPES
     )
@@ -245,7 +253,7 @@ def test_cone_witness_names_the_faulty_combination(monkeypatch):
     import powdom.verify as verify_mod
 
     c2 = catalog.builtin_posets()["C2"]
-    vals = catalog.catalog_valuations(c2)
+    vals = catalog_valuations(c2)
     mu, nu = vals[1], vals[2]
     real_scale = SimpleValuation.scale
 
@@ -264,7 +272,7 @@ def test_mixed_witness_names_the_faulty_envelope(monkeypatch):
     import powdom.verify as verify_mod
 
     c2 = catalog.builtin_posets()["C2"]
-    target = catalog.catalog_envelopes(c2, SubFn, cap=6)[2]
+    target = catalog_envelopes(c2, SubFn, cap=6)[2]
     real_call = Envelope.__call__
 
     def faulty(phi, f):
@@ -379,7 +387,7 @@ def test_valuation_linear_draws_a_capped_budget(monkeypatch):
         cfg = SuiteConfig(seed=42, trials=trials, catalog_max=2)
         checks = verify_mod.check_valuations(cfg)
         assert all(c.passed for c in checks)
-        vals = sum(len(catalog.catalog_valuations(p)) for p in cfg.posets().values())
+        vals = sum(len(catalog_valuations(p)) for p in cfg.posets().values())
         assert drawn[0] == vals * 3 * 100 == 4200
 
 
@@ -412,7 +420,7 @@ def test_linearity_witness_names_the_faulty_scaled_predicate(monkeypatch):
 
     c2 = catalog.builtin_posets()["C2"]
     cone = catalog.builtin_algebras()["rplus_cone"]
-    mu = catalog.catalog_valuations(c2)[1]  # the point evaluation at the top
+    mu = catalog_valuations(c2)[1]  # the point evaluation at the top
     (f,) = [g for g in map(chi, all_up_sets(c2)) if g.values == (ZERO, ONE)]
     r = ExtNN(Fraction(1, 2))
     scaled = tuple(r * v for v in f.values)
@@ -441,7 +449,7 @@ def test_linearity_checks_the_zero_op(monkeypatch):
     import powdom.verify as verify_mod
 
     c2 = catalog.builtin_posets()["C2"]
-    mu = catalog.catalog_valuations(c2)[1]
+    mu = catalog_valuations(c2)[1]
     zeros = []  # kept alive, so that their ids stay theirs
     real_resolve, real_call = PredAlgebra.resolve, SimpleValuation.__call__
 
