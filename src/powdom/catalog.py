@@ -21,10 +21,7 @@ from functools import cache
 
 from .algebra import FinAlgebra, OpSpec, OpTag, RatAlgebra, Signature
 from .extnum import ONE, ZERO, enn_max, enn_min
-from .poset import FinPoset, poset_from_cover, product_poset
-
-# the two-element chain carrying every two-valued observation algebra
-TWO = FinPoset(("0", "1"), ((True, True), (False, True)))
+from .poset import TWO, poset_from_cover, product_poset
 
 EQ, LE, GE = OpTag.EQ, OpTag.LE, OpTag.GE
 

@@ -1,8 +1,9 @@
 """Monotone maps between finite posets and enumerated exponentials [X -> Y].
 
 A monotone total map is the finite stand-in for a Scott-continuous
-function.  The exponential carries the pointwise order, a partial order by
-construction, as a trusted FinPoset so that further exponentials can be taken.
+function.  The maps of an exponential come from ``poset.monotone_tables``;
+it carries the pointwise order, a partial order by construction, as a
+trusted FinPoset so that further exponentials can be taken.
 """
 
 from __future__ import annotations
@@ -12,8 +13,8 @@ from functools import reduce
 from itertools import compress
 from operator import and_, or_
 
-from .errors import NotMonotone, SizeGuardExceeded, TypeMismatch
-from .poset import FinPoset, _trusted
+from .errors import NotMonotone, TypeMismatch
+from .poset import FinPoset, _trusted, monotone_tables
 from .sampling import DEFAULT_SIZE_GUARD
 
 
@@ -129,33 +130,9 @@ class ExpPoset:
 def enumerate_monotone(
     source: FinPoset, target: FinPoset, size_guard: int = DEFAULT_SIZE_GUARD
 ) -> ExpPoset:
-    """Enumerate the exponential [source -> target].
-
-    Backtracks along a linear extension of the source, pruning assignments
-    that break monotonicity against already-assigned lower elements, so the
-    full |Y|^|X| space is never generated.
-    """
-    bound = target.size ** source.size if source.size else 1
-    if bound > size_guard:
-        raise SizeGuardExceeded(bound, size_guard)
-    order = source.linear_extension()
-    below = source.strict_below()  # each element's are assigned before it
-    n = source.size
-    assignment = [0] * n
-    tables = []
-
-    def backtrack(k):
-        if k == n:
-            tables.append(tuple(assignment))
-            return
-        e = order[k]
-        for v in range(target.size):
-            if all(target.leq[assignment[b]][v] for b in below[e]):
-                assignment[e] = v
-                backtrack(k + 1)
-
-    backtrack(0)
-    tables.sort()
+    """Enumerate the exponential [source -> target] from the tables of
+    ``poset.monotone_tables``, whose backtrack never generates the full
+    |Y|^|X| space and whose guard refuses it when that bound is too big."""
     # monotone by construction: each value was checked against the values below
-    maps = [_trusted(MonoMap, source=source, target=target, table=t) for t in tables]
-    return ExpPoset(source, target, maps)
+    tables = monotone_tables(source, target, size_guard)
+    return ExpPoset(source, target, [_trusted(MonoMap, source=source, target=target, table=t) for t in tables])

@@ -262,13 +262,10 @@ def q_transform(s: PredicateTransformer) -> StateTransformer:
 
 
 def all_state_transformers(x: FinPoset, target: FunctionalSpace, indices=None):
-    """Every monotone t from x into the functional space (or a sub-family),
-    enumerated under the space's guard."""
-    if indices is None:
-        expo = enumerate_monotone(x, target.space.poset, target.size_guard)
-        return [target.transformer(x, m.table) for m in expo.maps]
-    family = target.family_poset(indices)
-    expo = enumerate_monotone(x, family, target.size_guard)
+    """Every monotone t from x into the functional space (or the sub-family
+    at ``indices``), enumerated under the space's guard."""
+    indices = range(len(target.space)) if indices is None else indices
+    expo = enumerate_monotone(x, target.family_poset(indices), target.size_guard)
     return [target.transformer(x, (indices[v] for v in m.table)) for m in expo.maps]
 
 

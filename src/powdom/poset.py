@@ -1,11 +1,14 @@
-"""Finite partial orders and their up-sets, down-sets and products.
+"""Finite partial orders, their products and the enumerator of monotone maps.
 
 At this scale a finite poset plays the role of a dcpo: every directed
 subset has a maximum, so monotone maps are exactly the Scott-continuous
 ones, up-closed sets are the Scott-opens and down-closed sets the
-Scott-closed sets.  Everything here is immutable and enumerations are
-deterministic (element order is the label order given at construction,
-subsets are ordered by ascending bitmask).
+Scott-closed sets.  ``monotone_tables`` enumerates the monotone maps
+X -> Y; the up-sets are read off the maps into the 2-chain, the down-sets
+off the maps into its opposite, and ``funcspace`` builds [X -> Y] from
+them.  Everything here is immutable and enumerations are deterministic
+(element order is the label order given at construction, subsets are
+ordered by ascending bitmask).
 """
 
 from __future__ import annotations
@@ -112,21 +115,6 @@ class FinPoset:
             object.__setattr__(self, "_strict_below", below)
         return self._strict_below
 
-    def linear_extension(self):
-        """Element indices sorted bottom-up, stable on incomparable elements."""
-        n = self.size
-        remaining = list(range(n))
-        out = []
-        placed = set()
-        while remaining:
-            for i in remaining:
-                if all(j in placed for j in range(n) if self.leq[j][i] and j != i):
-                    out.append(i)
-                    placed.add(i)
-                    remaining.remove(i)
-                    break
-        return out
-
     def dot(self, name: str = "poset") -> str:
         """Hasse diagram (transitive reduction) in DOT, stable ordering."""
         lines = [f'digraph "{name}" {{', "  rankdir=BT;"]
@@ -226,35 +214,64 @@ class ElemSet:
         return "{" + ",".join(self.member_labels()) + "}"
 
 
-def _is_up_closed(poset: FinPoset, mask: int) -> bool:
-    return not any(poset._up[i] & ~mask for i in _bits(mask))
+# the two-element chain 0 < 1 and its opposite: the up-sets of a poset are
+# the 1s of its monotone maps into TWO, the down-sets those into TWO_OP
+TWO = FinPoset(("0", "1"), ((True, True), (False, True)))
+TWO_OP = FinPoset(("0", "1"), ((True, False), (True, True)))
 
 
-def _is_down_closed(poset: FinPoset, mask: int) -> bool:
-    # a set is down-closed exactly when its complement is up-closed
-    return _is_up_closed(poset, ((1 << poset.size) - 1) & ~mask)
+def monotone_tables(source: FinPoset, target: FinPoset, size_guard: int = DEFAULT_SIZE_GUARD):
+    """The table of every monotone map source -> target (target indices in
+    source element order), in ascending lexicographic order.
+
+    Refuses up front when the a priori bound |Y|^|X| exceeds the guard.
+    Backtracks over the source elements sorted by the size of their strict
+    down-sets, a linear extension of any partial order (and a finite sort on
+    any relation); each element may take the values above every value
+    already assigned below it, one AND of the target's up-set masks.
+    """
+    n = source.size
+    bound = target.size**n
+    if bound > size_guard:
+        raise SizeGuardExceeded(bound, size_guard)
+    below = source.strict_below()
+    order = sorted(range(n), key=lambda e: len(below[e]))
+    up, values, full = target._up, range(target.size), (1 << target.size) - 1
+    assignment = [0] * n
+    tables = []
+
+    def backtrack(k):
+        if k == n:
+            tables.append(tuple(assignment))
+            return
+        e = order[k]
+        allowed = full
+        for b in below[e]:
+            allowed &= up[assignment[b]]
+        for v in values:
+            if allowed >> v & 1:
+                assignment[e] = v
+                backtrack(k + 1)
+
+    backtrack(0)
+    tables.sort()
+    return tables
 
 
-def _guard_subsets(n: int, size_guard: int) -> int:
-    count = 1 << n
-    if count > size_guard:
-        raise SizeGuardExceeded(count, size_guard)
-    return count
+def _sets_of_ones(poset: FinPoset, target: FinPoset, size_guard: int):
+    """The set where each monotone map poset -> target is 1, ascending bitmask."""
+    tables = monotone_tables(poset, target, size_guard)
+    return [ElemSet(poset, mask) for mask in sorted(sum(v << i for i, v in enumerate(t)) for t in tables)]
 
 
 def all_up_sets(poset: FinPoset, size_guard: int = DEFAULT_SIZE_GUARD):
-    """Every up-closed subset, ordered by ascending bitmask.
-
-    For a finite poset these are exactly the Scott-open sets.
-    """
-    count = _guard_subsets(poset.size, size_guard)
-    return [ElemSet(poset, mask) for mask in range(count) if _is_up_closed(poset, mask)]
+    """Every up-closed subset (the Scott-open sets), ascending bitmask."""
+    return _sets_of_ones(poset, TWO, size_guard)
 
 
 def all_down_sets(poset: FinPoset, size_guard: int = DEFAULT_SIZE_GUARD):
     """Every down-closed subset (the Scott-closed sets), ascending bitmask."""
-    count = _guard_subsets(poset.size, size_guard)
-    return [ElemSet(poset, mask) for mask in range(count) if _is_down_closed(poset, mask)]
+    return _sets_of_ones(poset, TWO_OP, size_guard)
 
 
 def product_poset(x: FinPoset, y: FinPoset) -> FinPoset:

@@ -34,9 +34,9 @@ from .algebra import (
     is_homomorphism,
     is_relaxed_morphism,
 )
-from .catalog import builtin_algebras
+from .catalog import RATIONAL_OPS, builtin_algebras
 from .errors import RejectInteger, TypeMismatch
-from .extnum import ExtNN, ONE, ZERO, enn_dot, enn_max, enn_min, enn_sum
+from .extnum import ExtNN, ONE, ZERO, enn_dot, enn_sum
 from .monad import functional_space
 from .poset import ElemSet, FinPoset, _trusted, all_down_sets, all_up_sets, is_order_iso, set_inclusion_poset
 from .sampling import (
@@ -162,8 +162,8 @@ class LinearSide:
     domination: str  # name of the domination check of a valuation
 
 
-SUBLINEAR = LinearSide("sublinear", "subfn", "sup", enn_max, True, "rplus_max", "dominated-by-max")
-SUPERLINEAR = LinearSide("superlinear", "supfn", "inf", enn_min, False, "rplus_min", "dominates-min")
+SUBLINEAR = LinearSide("sublinear", "subfn", "sup", RATIONAL_OPS["max"].fn, True, "rplus_max", "dominated-by-max")
+SUPERLINEAR = LinearSide("superlinear", "supfn", "inf", RATIONAL_OPS["min"].fn, False, "rplus_min", "dominates-min")
 SIDES = (SUBLINEAR, SUPERLINEAR)
 
 # the law that each tagged op of a side's algebra stands for, in check order;

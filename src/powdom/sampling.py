@@ -42,10 +42,6 @@ MONOID_GRID = (
     INF,
 )
 
-# scalars used for exact homogeneity checks (0 and inf exercise the
-# absorption conventions)
-SCALAR_GRID = LAW_GRID
-
 # modes recorded on every check: exhaustive over a finite carrier, or the
 # two-phase grid-then-seeded-samples check on the extended rationals
 EXHAUSTIVE = "exhaustive"

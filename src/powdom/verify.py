@@ -67,9 +67,9 @@ from .sampling import (
     DEFAULT_SEED,
     DEFAULT_SIZE_GUARD,
     DEFAULT_TRIALS,
+    LAW_GRID,
     MONOID_GRID,
     SAMPLED,
-    SCALAR_GRID,
     derive_seed,
     random_extnn,
     task_rng,
@@ -516,7 +516,7 @@ def check_valuations(cfg: SuiteConfig):
     def cone_failures():
         for name, poset, vals, _ in inputs:
             action = EndoAction(
-                grid_endos=SCALAR_GRID,
+                grid_endos=LAW_GRID,
                 identity=ONE,
                 compose=enn_mul,
                 op_on_endos=rplus.resolve,

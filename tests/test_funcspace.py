@@ -65,8 +65,11 @@ class TestEnumeration:
         assert expo.poset.size == len(expo)
 
     def test_size_guard(self):
-        with pytest.raises(SizeGuardExceeded):
+        # the a priori bound |Y|^|X| = 4^4, before any map is built
+        with pytest.raises(SizeGuardExceeded) as err:
             enumerate_monotone(POSETS["crown4"], POSETS["crown4"], size_guard=10)
+        assert (err.value.needed, err.value.guard) == (256, 10)
+        assert str(err.value) == "enumeration of 256 items exceeds size guard 10"
 
     def test_index_lookup(self):
         expo = enumerate_monotone(POSETS["C2"], TWO)

@@ -1,8 +1,12 @@
+import ast
 import itertools
+import signal
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
+import powdom
 from powdom import catalog
 from powdom.errors import (
     CycleDetected,
@@ -14,10 +18,14 @@ from powdom.errors import (
 from powdom.funcspace import enumerate_monotone
 from powdom.monad import functional_space
 from powdom.poset import (
+    TWO,
+    TWO_OP,
     FinPoset,
+    _trusted,
     all_down_sets,
     all_up_sets,
     is_order_iso,
+    monotone_tables,
     poset_from_cover,
     product_poset,
     set_inclusion_poset,
@@ -118,9 +126,13 @@ class TestUpDownSets:
             assert a & b in masks
 
     def test_size_guard(self):
+        # the a priori bound 2^n, the count and message of the subset filter
         big = poset_from_cover([f"e{i}" for i in range(30)], [])
-        with pytest.raises(SizeGuardExceeded):
-            all_up_sets(big, size_guard=1000)
+        for sets in (all_up_sets, all_down_sets):
+            with pytest.raises(SizeGuardExceeded) as err:
+                sets(big, size_guard=1000)
+            assert (err.value.needed, err.value.guard) == (1 << 30, 1000)
+            assert str(err.value) == "enumeration of 1073741824 items exceeds size guard 1000"
 
 
 class TestProduct:
@@ -149,8 +161,8 @@ class TestProduct:
 
 
 @st.composite
-def small_posets(draw):
-    n = draw(st.integers(min_value=1, max_value=4))
+def small_posets(draw, most=4):
+    n = draw(st.integers(min_value=1, max_value=most))
     labels = [f"e{i}" for i in range(n)]
     covers = []
     # only upward covers (i -> j with i < j) so antisymmetry holds by design
@@ -203,8 +215,11 @@ class TestTools:
         assert reverse.leq_label("{top}", "{}")
 
     def test_linear_extension(self):
+        # monotone_tables visits the elements by the size of their strict
+        # down-sets: below every element, assigned before it
         for poset in POSETS.values():
-            order = poset.linear_extension()
+            below = poset.strict_below()
+            order = sorted(range(poset.size), key=lambda e: len(below[e]))
             pos = {e: k for k, e in enumerate(order)}
             for i in range(poset.size):
                 for j in range(poset.size):
@@ -297,3 +312,106 @@ class TestOrderDiagnostics:
             FinPoset(labels, leq)
         assert type(err.value) is InvalidOrder
         assert str(err.value) == message
+
+
+# ---------------------------------------------------------------------------
+# the one enumerator against the subset filter and the product filter
+
+
+def subset_filter(poset, up=True):
+    """The subset filter that monotone_tables replaced, kept as the
+    reference: every mask, ascending, whose set is up-closed (or, for
+    down-sets, whose complement is)."""
+    full = (1 << poset.size) - 1
+
+    def up_closed(mask):
+        return not any(poset._up[i] & ~mask for i in range(poset.size) if mask >> i & 1)
+
+    return [mask for mask in range(full + 1) if up_closed(mask if up else full & ~mask)]
+
+
+def product_filter(source, target):
+    """Every table of |Y|^|X|, in lexicographic order, that is monotone."""
+    pairs = [(i, j) for i in range(source.size) for j in range(source.size) if source.leq[i][j]]
+    return [
+        t
+        for t in itertools.product(range(target.size), repeat=source.size)
+        if all(target.leq[t[i]][t[j]] for i, j in pairs)
+    ]
+
+
+POSETS_AND_EMPTY = {**POSETS, "empty": FinPoset((), ())}
+
+
+def _assert_sets_match_filter(poset):
+    assert [u.mask for u in all_up_sets(poset)] == subset_filter(poset)
+    assert [d.mask for d in all_down_sets(poset)] == subset_filter(poset, up=False)
+
+
+@pytest.mark.parametrize("name", sorted(POSETS_AND_EMPTY))
+def test_up_and_down_sets_match_the_subset_filter(name):
+    _assert_sets_match_filter(POSETS_AND_EMPTY[name])
+
+
+@given(small_posets(6))
+def test_up_and_down_sets_match_the_subset_filter_random(poset):
+    _assert_sets_match_filter(poset)
+
+
+@pytest.mark.parametrize("target", sorted(POSETS_AND_EMPTY) + ["TWO", "TWO_OP"])
+def test_monotone_tables_match_the_product_filter(target):
+    y = {**POSETS_AND_EMPTY, "TWO": TWO, "TWO_OP": TWO_OP}[target]
+    for x in POSETS_AND_EMPTY.values():
+        assert monotone_tables(x, y) == product_filter(x, y)
+
+
+@given(small_posets(5), small_posets(4))
+def test_monotone_tables_match_the_product_filter_random(x, y):
+    assert monotone_tables(x, y) == product_filter(x, y)
+
+
+def test_a_relation_that_is_not_antisymmetric_cannot_hang_an_enumeration():
+    # a 2-cycle that skipped validation has no minimal element, where a
+    # search for one loops; the order by down-set size always ends
+    cyclic = _trusted(FinPoset, labels=("a", "b"), leq=((True, True), (True, True)), _up=(3, 3))
+
+    def give_up(signum, frame):
+        raise TimeoutError("the enumeration did not return")
+
+    previous = signal.signal(signal.SIGALRM, give_up)
+    signal.alarm(5)
+    try:
+        maps = enumerate_monotone(cyclic, TWO).maps
+        ups, downs = all_up_sets(cyclic), all_down_sets(cyclic)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert maps and ups and downs
+
+
+def _guard_sites(text, module):
+    """``(module, top-level definition)`` of every construction of
+    ``SizeGuardExceeded`` in a module's source."""
+    return [
+        (module, getattr(stmt, "name", None))
+        for stmt in ast.parse(text).body
+        for node in ast.walk(stmt)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) == "SizeGuardExceeded"
+    ]
+
+
+def test_the_size_guard_is_raised_in_one_place():
+    # the a priori bound, and a counting guard that would replace it, live in
+    # the one enumerator that every enumeration goes through
+    sites = [
+        site
+        for path in sorted(Path(powdom.__file__).parent.glob("*.py"))
+        for site in _guard_sites(path.read_text(encoding="utf-8"), path.stem)
+    ]
+    assert sites == [("poset", "monotone_tables")]
+
+
+def test_the_guard_scan_sees_bare_and_module_calls():
+    text = "def f():\n    raise SizeGuardExceeded(1, 0)\nclass W:\n    def g(self):\n        errors.SizeGuardExceeded(1, 0)\n"
+    assert _guard_sites(text, "m") == [("m", "f"), ("m", "W")]

@@ -6,7 +6,7 @@ from powdom import catalog, powerdomain
 from powdom.algebra import is_relaxed_morphism
 from powdom.errors import RejectInteger, TypeMismatch
 from powdom.extnum import INF, ONE, ZERO, ExtNN, enn_sum
-from powdom.poset import all_down_sets, all_up_sets
+from powdom.poset import FinPoset, all_down_sets, all_up_sets
 from powdom.powerdomain import (
     PredAlgebra,
     Predicate,
@@ -397,7 +397,7 @@ class TestPredAlgebra:
 def _order_dual(poset):
     """X^op: the same labels with the <= matrix transposed."""
     n = poset.size
-    return catalog.FinPoset(
+    return FinPoset(
         poset.labels, tuple(tuple(poset.leq[j][i] for j in range(n)) for i in range(n))
     )
 
