@@ -15,9 +15,10 @@ mode produced them.
 
 The walkers read an algebra through ``mode``, ``signature``, ``resolve``,
 ``leq``, ``value_str``, ``grid_tuples`` and ``sample_tuple``, and compare
-values with ``==``.  ``resolve(symbol, param)`` is the op as a callable on an
-argument tuple (a family's at ``param``); it refuses an unknown symbol or a
-family without its parameter, once, so no application checks anything.
+values with ``==``.  ``resolve(symbol, param)`` hands out the op's realisation,
+a callable on an argument tuple (a family's bound to ``param``); it refuses an
+unknown symbol or a family without its parameter, once, so no application
+checks anything.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import itertools
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property, partial
-from operator import eq, is_not
+from operator import eq, is_not, mul
 
 from .errors import (
     ArityMismatch,
@@ -36,7 +37,7 @@ from .errors import (
     UnknownElement,
     UnknownOp,
 )
-from .extnum import ONE, enn_mul
+from .extnum import ONE
 from .funcspace import ExpPoset, MonoMap, compose, enumerate_monotone, identity_map
 from .poset import FinPoset, _trusted
 from .sampling import (
@@ -186,8 +187,9 @@ class FinAlgebra:
 class RatAlgebra:
     """Ops on the extended nonnegative rationals, realised as closed forms.
 
-    A parametric op is a scalar-indexed family; law checks quantify over the
-    parameter the same way they quantify over carrier values.
+    Each realisation takes the argument tuple; a family's takes its parameter
+    first.  A parametric op is a scalar-indexed family; law checks quantify
+    over the parameter the same way they quantify over carrier values.
     """
 
     mode = SAMPLED
@@ -203,8 +205,8 @@ class RatAlgebra:
         self._grid_monotone()
 
     def _grid_monotone(self):
-        # the ops' only monotonicity check, on the grid alone: no suite record
-        # re-checks it with samples (extnum.ops-monotone covers ExtNN + and *)
+        # the ops' only monotonicity check, on the grid alone (a test runs it on the
+        # catalog's rational algebras); extnum.ops-monotone samples ExtNN + and *
         for op in self.signature.ops:
             for param in _param_grid(self, op):
                 fn = self.resolve(op.symbol, param)
@@ -218,13 +220,11 @@ class RatAlgebra:
                                 )
 
     def resolve(self, symbol, param=None):
-        parametric = self.signature.spec(symbol).parametric
-        fn = self.ops[symbol]
-        if not parametric:
-            return lambda args: fn(*args)
+        if not self.signature.spec(symbol).parametric:
+            return self.ops[symbol]
         if param is None:
             raise ArityMismatch(f"operation family {symbol} needs a parameter")
-        return lambda args: fn(param, *args)
+        return partial(self.ops[symbol], param)
 
     def leq(self, a, b) -> bool:
         return a <= b
@@ -561,9 +561,9 @@ def scalar_action(algebra: RatAlgebra) -> EndoAction:
     return EndoAction(
         grid_endos=tuple(algebra.grid),
         identity=ONE,
-        compose=enn_mul,
+        compose=mul,
         op_on_endos=algebra.resolve,
-        act=enn_mul,
+        act=mul,
         describe=str,
         sample_endo=random_extnn,
     )

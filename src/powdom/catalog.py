@@ -15,13 +15,12 @@ equal algebras under different names must not share a cached space, and
 from __future__ import annotations
 
 import itertools
-import operator
 from collections import namedtuple
 from functools import cache
 
 from .algebra import FinAlgebra, OpSpec, OpTag, RatAlgebra, Signature
-from .extnum import ONE, ZERO, enn_max, enn_min
-from .poset import TWO, poset_from_cover, product_poset
+from .extnum import ONE, ZERO
+from .poset import TWO, _trusted, poset_from_cover, product_poset
 
 EQ, LE, GE = OpTag.EQ, OpTag.LE, OpTag.GE
 
@@ -52,27 +51,27 @@ def _builtin_poset_instances() -> dict:
     }
 
 
-# an op's arity and realisation; a parametric op is a scalar-indexed family,
-# realised with its parameter first
+# an op's arity and realisation, a callable on the argument tuple; a
+# parametric op is a scalar-indexed family, realised with its parameter first
 _Op = namedtuple("_Op", "arity fn parametric", defaults=(False,))
 
 # the two-valued ops, on the indices of "0" < "1"
 TWO_VALUED_OPS = {
     "join": _Op(2, max),
     "meet": _Op(2, min),
-    "zero": _Op(0, lambda: 0),
-    "one": _Op(0, lambda: 1),
+    "zero": _Op(0, lambda args: 0),
+    "one": _Op(0, lambda args: 1),
 }
 
 # the ops on the extended nonnegative rationals
 RATIONAL_OPS = {
-    "add": _Op(2, operator.add),
-    "mul": _Op(2, operator.mul),
-    "max": _Op(2, enn_max),
-    "min": _Op(2, enn_min),
-    "scale": _Op(1, operator.mul, parametric=True),
-    "zero": _Op(0, lambda: ZERO),
-    "one": _Op(0, lambda: ONE),
+    "add": _Op(2, lambda args: args[0] + args[1]),
+    "mul": _Op(2, lambda args: args[0] * args[1]),
+    "max": _Op(2, max),
+    "min": _Op(2, min),
+    "scale": _Op(1, lambda r, args: r * args[0], parametric=True),
+    "zero": _Op(0, lambda args: ZERO),
+    "one": _Op(0, lambda args: ONE),
 }
 
 
@@ -86,21 +85,24 @@ def two_valued(name, tagged_ops) -> FinAlgebra:
     tables = {}
     for op in sig.ops:
         fn = TWO_VALUED_OPS[op.symbol].fn
-        tables[op.symbol] = {args: fn(*args) for args in itertools.product((0, 1), repeat=op.arity)}
+        tables[op.symbol] = {args: fn(args) for args in itertools.product((0, 1), repeat=op.arity)}
     return FinAlgebra(name, TWO, sig, tables)
 
 
 def rational(name, tagged_ops) -> RatAlgebra:
     """The algebra on ExtNN with the ``(symbol, OpTag)`` ops of RATIONAL_OPS, in order."""
     sig = _signature(RATIONAL_OPS, tagged_ops)
-    return RatAlgebra(name, sig, {op.symbol: RATIONAL_OPS[op.symbol].fn for op in sig.ops})
+    # the realisations are monotone program constants: a test checks them on the grid
+    ops = {op.symbol: RATIONAL_OPS[op.symbol].fn for op in sig.ops}
+    return _trusted(RatAlgebra, name=name, signature=sig, ops=ops)
 
 
 def builtin_algebras() -> dict:
     """The built-in algebras by name, in a new dict on every call.
 
-    The algebras are built and validated once per process, on first use;
-    editing the returned dict does not reach later callers.
+    The algebras are built once per process, on first use (the two-valued
+    ones validated, the rational ones checked by a test); editing the
+    returned dict does not reach later callers.
     """
     return dict(_builtin_algebra_instances())
 

@@ -345,7 +345,7 @@ def _assemble_algebra(name, carrier, ops, tables, builtins):
         elif kind == "const":
             if arity != 0:
                 raise PowdomError("const realises a nullary operation")
-            realisations[sym] = lambda c=arg: c
+            realisations[sym] = lambda args, c=arg: c
         else:
             if arity != 2:
                 raise PowdomError(f"builtin {kind} realises a binary operation")

@@ -142,18 +142,6 @@ ONE = ExtNN._wrap(1, 1)
 INF = ExtNN._wrap(1, 0)
 
 
-def enn_mul(a: ExtNN, b: ExtNN) -> ExtNN:
-    return a * b
-
-
-def enn_max(a: ExtNN, b: ExtNN) -> ExtNN:
-    return a if b < a else b
-
-
-def enn_min(a: ExtNN, b: ExtNN) -> ExtNN:
-    return b if b < a else a
-
-
 def enn_sum(values) -> ExtNN:
     total = ZERO
     for v in values:

@@ -18,7 +18,6 @@ every predicate reduces to domination on the finitely many up-sets.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -156,7 +155,7 @@ class LinearSide:
     name: str  # law report name and prefix of the sampled stream labels
     keyword: str  # definition-file statement
     opener: str  # literal opener
-    combine: Callable  # binary max or min of values
+    combine: Callable  # max or min of an iterable of values
     below: bool
     algebra: str  # catalog name of the side's tagged rational algebra
     domination: str  # name of the domination check of a valuation
@@ -295,7 +294,7 @@ class Envelope:
         return (self.side,)
 
     def __call__(self, f: Predicate) -> ExtNN:
-        return functools.reduce(self.side.combine, (mu(f) for mu in self.components))
+        return self.side.combine(mu(f) for mu in self.components)
 
     def literal(self) -> str:
         return self.side.opener + "{ " + "; ".join(c.literal() for c in self.components) + " }"

@@ -32,16 +32,6 @@ LAW_GRID = (
     INF,
 )
 
-# smaller grid for the exhaustive monoid checks
-MONOID_GRID = (
-    ExtNN(0),
-    ExtNN(Fraction(1, 3)),
-    ExtNN(Fraction(1, 2)),
-    ExtNN(1),
-    ExtNN(2),
-    INF,
-)
-
 # modes recorded on every check: exhaustive over a finite carrier, or the
 # two-phase grid-then-seeded-samples check on the extended rationals
 EXHAUSTIVE = "exhaustive"

@@ -18,12 +18,11 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import catalog
 from .algebra import (
     CheckOutcome,
-    EndoAction,
     FinAlgebra,
     check_module_axioms,
     commutes,
@@ -38,7 +37,7 @@ from .algebra import (
     scalar_action,
     subcommutes,
 )
-from .extnum import ONE, ZERO, enn_mul
+from .extnum import ZERO
 from .funcspace import MonoMap, compose, enumerate_monotone, precompose
 from .monad import (
     all_predicate_transformers,
@@ -68,7 +67,6 @@ from .sampling import (
     DEFAULT_SIZE_GUARD,
     DEFAULT_TRIALS,
     LAW_GRID,
-    MONOID_GRID,
     SAMPLED,
     derive_seed,
     random_extnn,
@@ -132,7 +130,7 @@ EXTNUM_LAWS = {
 
 def check_extnum(cfg: SuiteConfig):
     rng = cfg.rng("extnum")
-    grid = itertools.product(MONOID_GRID, repeat=3)
+    grid = itertools.product(LAW_GRID, repeat=3)
     # drawn up front: the five laws share the triples
     triples = list(two_phase(grid, lambda: tuple(random_extnn(rng) for _ in range(3)), cfg.trials))
     return [
@@ -515,14 +513,7 @@ def check_valuations(cfg: SuiteConfig):
     # the first five valuations and their sums; each r mu is built once
     def cone_failures():
         for name, poset, vals, _ in inputs:
-            action = EndoAction(
-                grid_endos=LAW_GRID,
-                identity=ONE,
-                compose=enn_mul,
-                op_on_endos=rplus.resolve,
-                act=functools.cache(lambda r, mu: mu.scale(r)),
-                sample_endo=random_extnn,
-            )
+            action = replace(scalar_action(rplus), act=functools.cache(lambda r, mu: mu.scale(r)))
             algebra = ValuationAlgebra(poset, tuple(vals[:5]))
             rng = cfg.rng(f"valuation.cone.{name}")
             module = check_module_axioms(action, algebra, rng, min(cfg.trials, 100))

@@ -5,6 +5,7 @@ lines and timings.  All checks are exact or seeded; no tolerances beyond
 the stated time budgets are involved.
 """
 
+import hashlib
 import itertools
 import json
 import time
@@ -291,6 +292,8 @@ def test_criterion_11_determinism(tmp_path):
         assert main(["verify-suite", "--seed", "42", "--json", str(out2)]) == 0
         b1 = out1.read_bytes()
         assert b1 == out2.read_bytes()
+        # the default report's digest: the behaviour guard of every change
+        assert hashlib.sha256(b1).hexdigest() == "1c22aaa5aaaa6f23b956a71d07a9ec25dbe4a72c76425996ec5f067e5eb238e1"
         data = json.loads(b1)
         assert data["verdict"] == "pass"
         assert all(c.get("verdict") == "pass" for c in data["checks"])

@@ -156,7 +156,7 @@ class TestRelaxedMorphism:
         strict = RatAlgebra(
             "rplus_max_strict",
             sig,
-            {"add": lambda a, b: a + b, "max": lambda a, b: max(a, b), "zero": lambda: ZERO},
+            {"add": lambda args: args[0] + args[1], "max": max, "zero": lambda args: ZERO},
         )
         lifted = PredAlgebra(strict, a2)
         outcome = is_relaxed_morphism(phi, lifted, strict)
@@ -266,7 +266,7 @@ class TestEntropicity:
     def test_doubly_lax_tagging_fails(self):
         sig = Signature((OpSpec("add", 2, OpTag.LE), OpSpec("max", 2, OpTag.LE)))
         alg = RatAlgebra(
-            "bad_tags", sig, {"add": lambda a, b: a + b, "max": lambda a, b: max(a, b)}
+            "bad_tags", sig, {"add": lambda args: args[0] + args[1], "max": max}
         )
         report = is_relaxed_entropic(alg)
         assert not report.passed
@@ -422,7 +422,7 @@ class TestConstruction:
             RatAlgebra(
                 "spike",
                 sig,
-                {"spike": lambda a, b: ONE if a == b else ZERO},
+                {"spike": lambda args: ONE if args[0] == args[1] else ZERO},
             )
 
     def test_missing_table(self):
@@ -611,7 +611,7 @@ def test_sampled_interchange_draws_the_values_then_the_parameter():
     alg = RatAlgebra(
         "faulty",
         sig,
-        {"add": lambda a, b: a + b, "scale": lambda r, x: r * x + (ONE if _eleventh(r) else ZERO)},
+        {"add": lambda args: args[0] + args[1], "scale": lambda r, args: r * args[0] + (ONE if _eleventh(r) else ZERO)},
     )
     assert commutes(alg, "scale", "add").passed  # the grid phase alone passes
     rng = task_rng(7, "interchange")

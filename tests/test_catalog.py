@@ -136,3 +136,20 @@ def test_rational_ops_take_their_pinned_values(name):
             assert all(a in LAW_GRID for a in args) and param in (None, *LAW_GRID)
             assert alg.resolve(op.symbol, param)(args) == value, (name, op.symbol, param, args)
 
+
+# the catalog builds its rational algebras on the trusted path, so this is
+# where their realisations are checked to be monotone on the grid
+@pytest.mark.parametrize("name", [n for n in SIGNATURES if n not in TWO_VALUED])
+def test_rational_ops_are_monotone_on_the_grid(name):
+    ALGS[name]._grid_monotone()
+
+
+def test_building_the_catalog_rows_runs_no_grid_check(monkeypatch):
+    def refuse(self):
+        raise AssertionError(f"{self.name} grid-checked at build time")
+
+    monkeypatch.setattr(RatAlgebra, "_grid_monotone", refuse)
+    assert catalog.rational("r", (("add", catalog.EQ), ("scale", catalog.EQ))).ops == {
+        "add": catalog.RATIONAL_OPS["add"].fn,
+        "scale": catalog.RATIONAL_OPS["scale"].fn,
+    }

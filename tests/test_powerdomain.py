@@ -213,6 +213,21 @@ class TestSubSupFns:
             SubFn(())
 
 
+    @pytest.mark.parametrize("pname", sorted(POSETS))
+    @pytest.mark.parametrize("envelope", [SubFn, SupFn])
+    def test_envelopes_agree_with_a_pairwise_fold(self, pname, envelope):
+        # oracle: fold the component values two at a time with an explicit <
+        poset = POSETS[pname]
+        for phi in powerdomain.catalog_envelopes(poset, envelope):
+            for u in all_up_sets(poset):
+                f = chi(u)
+                best, *rest = [mu(f) for mu in phi.components]
+                for v in rest:
+                    if (best < v) if envelope is SubFn else (v < best):
+                        best = v
+                assert phi(f) == best, (pname, phi.literal(), f.literal())
+
+
 class TestSublinearity:
     @pytest.mark.parametrize("pname", ["C2", "A2"])
     def test_subfns_pass(self, pname):

@@ -8,6 +8,7 @@ back.
 """
 
 import ast
+import functools
 from pathlib import Path
 
 import pytest
@@ -76,6 +77,21 @@ def test_resolve_refuses_an_unknown_symbol(kind):
 def test_resolve_refuses_a_family_without_its_parameter(kind):
     with pytest.raises(ArityMismatch, match="operation family scale needs a parameter"):
         _kinds()[kind].resolve("scale")
+
+
+@pytest.mark.parametrize("name", [n for n, a in ALGS.items() if isinstance(a, RatAlgebra)])
+def test_resolve_hands_out_the_catalog_realisation_itself(name):
+    algebra, r = ALGS[name], ExtNN.parse("2/3")
+    for op in algebra.signature.ops:
+        fn = catalog.RATIONAL_OPS[op.symbol].fn
+        if not op.parametric:
+            assert algebra.resolve(op.symbol) is fn
+            continue
+        at_r = algebra.resolve(op.symbol, r)
+        assert isinstance(at_r, functools.partial)
+        assert at_r.func is fn and at_r.args == (r,) and not at_r.keywords
+        with pytest.raises(ArityMismatch):
+            algebra.resolve(op.symbol)
 
 
 @pytest.mark.parametrize("kind", ["finite", "rational", "predicates", "valuations"])

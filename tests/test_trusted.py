@@ -162,6 +162,7 @@ TRUSTED_SITES = {
     ("funcspace", "ExpPoset.__init__"),
     ("funcspace", "enumerate_monotone"),
     ("algebra", "lift_pointwise"),
+    ("catalog", "rational"),
     ("powerdomain", "constant_predicate"),
     ("powerdomain", "chi"),
     ("powerdomain", "random_predicate"),
