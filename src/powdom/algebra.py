@@ -126,7 +126,7 @@ class FinAlgebra:
 
     def _validate(self):
         n = self.carrier.size
-        leq = self.carrier.leq
+        up = self.carrier.up
         above = [[] for _ in range(n)]  # upper covers of each element
         for lo, hi in self.carrier.covers():
             above[lo].append(hi)
@@ -155,11 +155,11 @@ class FinAlgebra:
             # monotone in each argument: stepping one coordinate up a cover
             # edge may only move the result up
             for args in itertools.product(range(n), repeat=op.arity):
-                result_row = leq[table[args]]
+                result_row = up[table[args]]
                 for pos in range(op.arity):
                     for hi in above[args[pos]]:
                         bumped = args[:pos] + (hi,) + args[pos + 1 :]
-                        if not result_row[table[bumped]]:
+                        if not result_row >> table[bumped] & 1:
                             raise PowdomError(
                                 f"operation {op.symbol} is not monotone at {args} -> {bumped}"
                             )
@@ -175,7 +175,7 @@ class FinAlgebra:
         return self.tables[symbol].__getitem__
 
     def leq(self, a, b) -> bool:
-        return self.carrier.leq[a][b]
+        return self.carrier.up[a] >> b & 1
 
     def value_str(self, a) -> str:
         return self.carrier.labels[a]

@@ -173,7 +173,7 @@ def _valuation_powerdomain(args, poset, report):
     misordered = (
         {"x": poset.labels[i], "y": poset.labels[j]}
         for i, j in itertools.product(range(poset.size), repeat=2)
-        if valuation_leq(diracs[i], diracs[j], args.size_guard) != poset.leq[i][j]
+        if valuation_leq(diracs[i], diracs[j], args.size_guard) != poset.leq(i, j)
     )
     report.add(first_failure("valuations:point-evaluations-embed", misordered))
     # each valuation a homomorphism into the cone, over the grid alone

@@ -18,7 +18,7 @@ class CycleDetected(PowdomError):
 
 
 class InvalidOrder(PowdomError):
-    """A relation matrix is not reflexive, transitive and antisymmetric."""
+    """Up rows that do not fit the elements, or are not reflexive, transitive and antisymmetric."""
 
 
 class SizeGuardExceeded(PowdomError):

@@ -3,18 +3,18 @@
 A monotone total map is the finite stand-in for a Scott-continuous
 function.  The maps of an exponential come from ``poset.monotone_tables``;
 it carries the pointwise order, a partial order by construction, as a
-trusted FinPoset so that further exponentials can be taken.
+trusted FinPoset so that further exponentials can be taken: |F| bitmask up
+rows, so the 7,581 functionals on A5 hold 7,581 ints, not a 57 M matrix.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from itertools import compress
 from operator import and_, or_
 
 from .errors import NotMonotone, TypeMismatch
-from .poset import FinPoset, _trusted, monotone_tables
+from .poset import FinPoset, _bits, _trusted, monotone_tables
 from .sampling import DEFAULT_SIZE_GUARD
 
 
@@ -37,9 +37,9 @@ class MonoMap:
             raise TypeMismatch("table length does not match source size")
         if table and (min(table) < 0 or max(table) >= len(self.target.labels)):
             raise TypeMismatch("table entry out of target range")
-        leq = self.target.leq
+        up = self.target.up
         for i, j in self.source.covers():
-            if not leq[table[i]][table[j]]:
+            if not up[table[i]] >> table[j] & 1:
                 raise NotMonotone(
                     f"table violates monotonicity on "
                     f"{self.source.labels[i]} <= {self.source.labels[j]}"
@@ -52,9 +52,8 @@ class MonoMap:
         """Pointwise comparison; requires identical source and target."""
         if self.source != other.source or self.target != other.target:
             raise TypeMismatch("maps live in different exponentials")
-        return all(
-            self.target.leq[a][b] for a, b in zip(self.table, other.table)
-        )
+        up = self.target.up
+        return all(up[a] >> b & 1 for a, b in zip(self.table, other.table))
 
     def key(self) -> str:
         """Deterministic label, target indices in source element order."""
@@ -84,17 +83,14 @@ def precompose(u: MonoMap, g: MonoMap) -> MonoMap:
     return compose(u, g)
 
 
-_BIT = {"0": False, "1": True}
-
-
 class ExpPoset:
     """Monotone maps X -> Y with the pointwise order, as a poset: all of them,
     or a family of them such as End(A).
 
     Maps are listed in ascending lexicographic order of their tables; the
-    poset uses the tables as element labels.  Its order is built as bitmask
-    up rows: one mask per point x and target value v of the maps whose value
-    at x lies above v, ANDed over the points of each map.
+    poset uses the tables as element labels.  Its up rows are built from one
+    mask per point x and target value v of the maps whose value at x lies
+    above v, ANDed over the points of each map.
     """
 
     def __init__(self, source: FinPoset, target: FinPoset, maps):
@@ -108,13 +104,11 @@ class ExpPoset:
             at = [0] * target.size  # at[w]: the maps whose value at x is w
             for i, t in enumerate(tables):
                 at[t[x]] |= 1 << i
-            above.append([reduce(or_, compress(at, row), 0) for row in target.leq])
-        n = len(tables)
-        up = tuple(reduce(and_, map(list.__getitem__, above, t), (1 << n) - 1) for t in tables)
-        # row i of leq reads bit j of up[i] at position j
-        leq = tuple(tuple(map(_BIT.__getitem__, format(mask, f"0{n}b")[::-1])) for mask in up)
+            above.append([reduce(or_, map(at.__getitem__, _bits(row)), 0) for row in target.up])
+        full = (1 << len(tables)) - 1
+        up = tuple(reduce(and_, map(list.__getitem__, above, t), full) for t in tables)
         labels = tuple(m.key() for m in self.maps)
-        self.poset = _trusted(FinPoset, labels=labels, leq=leq, _up=up)
+        self.poset = _trusted(FinPoset, labels=labels, up=up)
 
     def __len__(self):
         return len(self.maps)

@@ -6,7 +6,8 @@ ones, up-closed sets are the Scott-opens and down-closed sets the
 Scott-closed sets.  ``monotone_tables`` enumerates the monotone maps
 X -> Y; the up-sets are read off the maps into the 2-chain, the down-sets
 off the maps into its opposite, and ``funcspace`` builds [X -> Y] from
-them.  Everything here is immutable and enumerations are deterministic
+them.  An order is held once, as bitmask up rows, and never expanded into
+a matrix.  Everything here is immutable and enumerations are deterministic
 (element order is the label order given at construction, subsets are
 ordered by ascending bitmask).
 """
@@ -28,46 +29,43 @@ from .sampling import DEFAULT_SIZE_GUARD
 
 @dataclass(frozen=True)
 class FinPoset:
-    """A finite poset: element labels plus a boolean <= matrix.
+    """A finite poset: element labels plus bitmask up rows, bit j of ``up[i]``
+    set exactly when i <= j.
 
-    The matrix is validated at construction; only an exponential's order,
-    a partial order by construction, skips the check (see ``_trusted``).  Each
-    row is first packed into a bitmask (``up[i]`` holds every j with
-    i <= j); transitivity is then one mask test per related pair,
-    ``up[j] & ~up[i]``, so validation takes O(n^2) big-int operations.
-    Pairs are visited row by row, so the first violation found (and its
-    message) is that of the element-wise scan.  Equality and hashing are by
-    presentation (labels and matrix), so two posets built the same way are
-    interchangeable, while merely isomorphic posets are not.
+    The rows are validated at construction; only an exponential's order, a
+    partial order by construction, skips the check (see ``_trusted``).
+    Transitivity is one mask test per related pair, ``up[j] & ~up[i]``, so
+    validation takes O(n^2) big-int operations.  Pairs are visited row by
+    row, so the first violation found (and its message) is that of the
+    element-wise scan.  Equality and hashing are by presentation (labels and
+    rows): posets built the same way are interchangeable, isomorphic ones not.
     """
 
     labels: tuple
-    leq: tuple
+    up: tuple
     _covers = _strict_below = None  # computed on first use, then kept
 
     def __post_init__(self):
         labels = tuple(self.labels)
-        leq = tuple(tuple(map(bool, row)) for row in self.leq)
+        up = tuple(self.up)
         object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "leq", leq)
+        object.__setattr__(self, "up", up)
         n = len(labels)
         if len(set(labels)) != n:
             raise DuplicateLabel(f"duplicate element labels in {labels}")
-        if len(leq) != n or any(len(row) != n for row in leq):
-            raise InvalidOrder("relation matrix shape does not match element count")
-        up = tuple(_row_mask(row) for row in leq)
+        if len(up) != n or any(not 0 <= mask < 1 << n for mask in up):
+            raise InvalidOrder("relation masks do not match element count")
         for i in range(n):
-            if not leq[i][i]:
-                raise InvalidOrder(f"relation not reflexive at {labels[i]}")
             up_i = up[i]
+            if not up_i >> i & 1:
+                raise InvalidOrder(f"relation not reflexive at {labels[i]}")
             for j in _bits(up_i):
-                if j != i and leq[j][i]:
+                if j != i and up[j] >> i & 1:
                     raise InvalidOrder(
                         f"relation not antisymmetric on {labels[i]}, {labels[j]}"
                     )
                 if up[j] & ~up_i:
                     raise InvalidOrder(f"relation not transitive via {labels[j]}")
-        object.__setattr__(self, "_up", up)
 
     @property
     def size(self) -> int:
@@ -82,18 +80,18 @@ class FinPoset:
         except ValueError:
             raise UnknownLabel(f"unknown element {label!r}") from None
 
-    def leq_label(self, a: str, b: str) -> bool:
-        return self.leq[self.index(a)][self.index(b)]
+    def leq(self, i: int, j: int) -> bool:
+        return bool(self.up[i] >> j & 1)
 
     def covers(self):
         """Cover pairs (i, j): j covers i, i.e. i < j with nothing in between.
 
-        Computed once per poset from the row bitmasks (j covers i when the
-        strict up-set of i and the strict down-set of j are disjoint) and
-        cached; the tuple lists the pairs in ascending (i, j) order.
+        Computed once per poset from the up rows (j covers i when the strict
+        up-set of i and the strict down-set of j are disjoint) and cached;
+        the tuple lists the pairs in ascending (i, j) order.
         """
         if self._covers is None:
-            up = self._up
+            up = self.up
             down = [0] * self.size
             for i, row in enumerate(up):
                 for j in _bits(row):
@@ -110,8 +108,8 @@ class FinPoset:
     def strict_below(self):
         """For each element i, the indices strictly below it, ascending; cached."""
         if self._strict_below is None:
-            leq, n = self.leq, self.size
-            below = tuple(tuple(j for j in range(n) if j != i and leq[j][i]) for i in range(n))
+            up, n = self.up, self.size
+            below = tuple(tuple(j for j in range(n) if j != i and up[j] >> i & 1) for i in range(n))
             object.__setattr__(self, "_strict_below", below)
         return self._strict_below
 
@@ -124,15 +122,6 @@ class FinPoset:
             lines.append(f'  "{self.labels[i]}" -> "{self.labels[j]}";')
         lines.append("}")
         return "\n".join(lines) + "\n"
-
-
-def _row_mask(row) -> int:
-    """Bitmask of the True positions of a boolean row (bit j for row[j])."""
-    mask = 0
-    for j, v in enumerate(row):
-        if v:
-            mask |= 1 << j
-    return mask
 
 
 def _bits(mask: int):
@@ -164,26 +153,24 @@ def poset_from_cover(labels, cover_pairs) -> FinPoset:
         raise DuplicateLabel(f"duplicate element labels in {labels}")
     pos = {lab: i for i, lab in enumerate(labels)}
     n = len(labels)
-    leq = [[i == j for j in range(n)] for i in range(n)]
+    up = [1 << i for i in range(n)]
     for low, high in cover_pairs:
         if low not in pos:
             raise UnknownLabel(f"unknown element {low!r} in cover pair")
         if high not in pos:
             raise UnknownLabel(f"unknown element {high!r} in cover pair")
-        leq[pos[low]][pos[high]] = True
-    for k in range(n):
+        up[pos[low]] |= 1 << pos[high]
+    for k in range(n):  # Warshall: every row that reaches k takes k's row
         for i in range(n):
-            if leq[i][k]:
-                for j in range(n):
-                    if leq[k][j]:
-                        leq[i][j] = True
+            if up[i] >> k & 1:
+                up[i] |= up[k]
     for i in range(n):
-        for j in range(n):
-            if i != j and leq[i][j] and leq[j][i]:
+        for j in _bits(up[i]):
+            if i != j and up[j] >> i & 1:
                 raise CycleDetected(
                     f"cover relation creates a cycle through {labels[i]} and {labels[j]}"
                 )
-    return FinPoset(labels, tuple(tuple(row) for row in leq))
+    return FinPoset(labels, tuple(up))
 
 
 @dataclass(frozen=True)
@@ -216,8 +203,8 @@ class ElemSet:
 
 # the two-element chain 0 < 1 and its opposite: the up-sets of a poset are
 # the 1s of its monotone maps into TWO, the down-sets those into TWO_OP
-TWO = FinPoset(("0", "1"), ((True, True), (False, True)))
-TWO_OP = FinPoset(("0", "1"), ((True, False), (True, True)))
+TWO = FinPoset(("0", "1"), (0b11, 0b10))
+TWO_OP = FinPoset(("0", "1"), (0b01, 0b11))
 
 
 def monotone_tables(source: FinPoset, target: FinPoset, size_guard: int = DEFAULT_SIZE_GUARD):
@@ -236,7 +223,7 @@ def monotone_tables(source: FinPoset, target: FinPoset, size_guard: int = DEFAUL
         raise SizeGuardExceeded(bound, size_guard)
     below = source.strict_below()
     order = sorted(range(n), key=lambda e: len(below[e]))
-    up, values, full = target._up, range(target.size), (1 << target.size) - 1
+    up, values, full = target.up, range(target.size), (1 << target.size) - 1
     assignment = [0] * n
     tables = []
 
@@ -278,41 +265,32 @@ def product_poset(x: FinPoset, y: FinPoset) -> FinPoset:
     """Cartesian product with the componentwise order."""
     labels = tuple(f"({a},{b})" for a in x.labels for b in y.labels)
     ny = y.size
-    n = x.size * ny
-    leq = tuple(
-        tuple(x.leq[i // ny][j // ny] and y.leq[i % ny][j % ny] for j in range(n))
-        for i in range(n)
-    )
-    return FinPoset(labels, leq)
+    # (i, k) <= (j, l) when i <= j and k <= l: row k of y shifted to each block j
+    up = tuple(sum(row << j * ny for j in _bits(x_row)) for x_row in x.up for row in y.up)
+    return FinPoset(labels, up)
 
 
 def sub_poset(poset: FinPoset, indices) -> FinPoset:
     """Restriction of the order to the given element indices (in that order)."""
     indices = list(indices)
     labels = tuple(poset.labels[i] for i in indices)
-    leq = tuple(tuple(poset.leq[i][j] for j in indices) for i in indices)
-    return FinPoset(labels, leq)
+    up = tuple(sum(1 << b for b, j in enumerate(indices) if poset.up[i] >> j & 1) for i in indices)
+    return FinPoset(labels, up)
 
 
 def set_inclusion_poset(sets, reverse: bool = False) -> FinPoset:
     """The given ElemSets ordered by (reverse) inclusion of their masks."""
     labels = tuple(s.label() for s in sets)
-
-    def incl(a, b):
-        return (a.mask & b.mask) == a.mask
-
-    leq = tuple(
-        tuple(incl(b, a) if reverse else incl(a, b) for b in sets) for a in sets
-    )
-    return FinPoset(labels, leq)
+    masks = [s.mask for s in sets]
+    # b is above a when a is a subset of b, or, reversed, a superset of b
+    up = tuple(sum(1 << j for j, b in enumerate(masks) if (a | b if reverse else a & b) == a) for a in masks)
+    return FinPoset(labels, up)
 
 
 def is_order_iso(p: FinPoset, q: FinPoset, mapping) -> bool:
     """Does the index mapping p -> q define an order isomorphism?"""
     if p.size != q.size or sorted(mapping) != list(range(q.size)):
         return False
-    for i in range(p.size):
-        for j in range(p.size):
-            if p.leq[i][j] != q.leq[mapping[i]][mapping[j]]:
-                return False
-    return True
+    # the image of each up row is the up row of the image
+    image = [sum(1 << mapping[j] for j in _bits(row)) for row in p.up]
+    return all(image[i] == q.up[mapping[i]] for i in range(p.size))

@@ -337,7 +337,8 @@ def catalog_valuations(poset: FinPoset):
         j = (i + 1) % poset.size
         if i != j:
             out.append(SimpleValuation(poset, ((half, i), (third, j))))
-    out.append(dirac(poset, 0).scale(two))
+    if poset.size:
+        out.append(dirac(poset, 0).scale(two))
     if poset.size > 1:
         out.append(SimpleValuation(poset, ((ExtNN(None), 0), (ONE, poset.size - 1))))
     return out
@@ -418,7 +419,7 @@ def _set_powerdomain(side: SetSide, x: FinPoset, algebra: FinAlgebra, size_guard
     sets = side.sets(x, size_guard)
     set_poset = set_inclusion_poset(sets, reverse=side.reverse)
     homs = sorted(space.hom_indices)
-    top = 1 if algebra.carrier.leq[0][1] else 0
+    top = 1 if algebra.carrier.leq(0, 1) else 0
     supports = [
         frozenset(i for i, v in enumerate(pred.table) if v == top)
         for pred in space.predicates.maps

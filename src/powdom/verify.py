@@ -165,7 +165,7 @@ def check_posets(cfg: SuiteConfig):
             poset.labels,
             [(poset.labels[i], poset.labels[j]) for i, j in poset.covers()],
         )
-        checks.append(CheckOutcome(f"poset.cover-roundtrip.{name}", rebuilt.leq == poset.leq))
+        checks.append(CheckOutcome(f"poset.cover-roundtrip.{name}", rebuilt.up == poset.up))
     return checks
 
 
@@ -180,9 +180,9 @@ def check_funcspace(cfg: SuiteConfig):
     two = catalog.TWO
     for name, poset in named.items():
         expo = enumerate_monotone(poset, two, cfg.size_guard)
-        pairs = [(i, j) for i, j in itertools.product(range(poset.size), repeat=2) if poset.leq[i][j]]
+        pairs = [(i, j) for i, j in itertools.product(range(poset.size), repeat=2) if poset.leq(i, j)]
         brute = sum(
-            all(two.leq[table[i]][table[j]] for i, j in pairs)
+            all(two.leq(table[i], table[j]) for i, j in pairs)
             for table in itertools.product(range(two.size), repeat=poset.size)
         )
         checks.append(CheckOutcome(f"funcspace.count-vs-bruteforce.{name}", len(expo) == brute))
@@ -317,7 +317,7 @@ def check_monad(cfg: SuiteConfig):
         for (pname, poset), r in itertools.product(posets.items(), two_algs):
             ds = delta(poset, r, cfg.size_guard)
             for i, j in itertools.product(range(poset.size), repeat=2):
-                if poset.leq[i][j] != ds[i].leq(ds[j]):
+                if poset.leq(i, j) != ds[i].leq(ds[j]):
                     yield {"poset": pname, "algebra": r.name, "x": poset.labels[i], "y": poset.labels[j]}
 
     checks.append(first_failure("monad.unit-order-embedding", not_embedded()))

@@ -176,7 +176,7 @@ def test_criterion_8_unit_and_lifting_suite():
                 ds = delta(poset, ALGS[aname])
                 for i in range(poset.size):
                     for j in range(poset.size):
-                        assert poset.leq[i][j] == ds[i].leq(ds[j])
+                        assert poset.leq(i, j) == ds[i].leq(ds[j])
 
         # the lifting preserves ops and op-preserving functionals
         small = [POSETS["one"], POSETS["C2"], POSETS["A2"]]

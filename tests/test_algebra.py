@@ -338,7 +338,7 @@ def brute_force_endos(alg):
     leq = alg.carrier.leq
     found = []
     for t in itertools.product(range(n), repeat=n):
-        monotone = all(leq[t[x]][t[y]] for x in range(n) for y in range(n) if leq[x][y])
+        monotone = all(leq(t[x], t[y]) for x in range(n) for y in range(n) if leq(x, y))
         preserves = all(
             t[value] == table[tuple(t[x] for x in args)]
             for table in alg.tables.values()
@@ -477,8 +477,8 @@ def _assert_lift_matches(algebra, base):
     assert lifted.tables == tables
     assert [m.table for m in lifted.expo.maps] == [m.table for m in expo.maps]
     maps = expo.maps
-    assert lifted.carrier.leq == tuple(
-        tuple(a.leq(b) for b in maps) for a in maps
+    assert lifted.carrier.up == tuple(
+        sum(a.leq(b) << j for j, b in enumerate(maps)) for a in maps
     )
 
 

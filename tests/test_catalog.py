@@ -122,7 +122,7 @@ def test_two_valued_algebras_sit_on_the_two_chain_with_pinned_tables(name):
     assert isinstance(alg, FinAlgebra)
     assert alg.carrier == catalog.TWO
     assert alg.carrier.labels == ("0", "1")
-    assert alg.carrier.leq == ((True, True), (False, True))
+    assert alg.carrier.up == (0b11, 0b10)
     assert alg.tables == {sym: TWO_TABLES[sym] for sym in alg.signature.symbols()}
 
 

@@ -440,6 +440,19 @@ def test_valuation_powerdomain_report_bytes_are_pinned(poset, digest, tmp_path, 
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
+def test_valuation_powerdomain_of_the_empty_poset(tmp_path, capsys):
+    # no point, so no point evaluation and no catalog valuation on a point
+    defs = tmp_path / "empty.defs"
+    defs.write_text("poset E\nend\n", encoding="utf-8")
+    assert main(["powerdomain", "valuations", "E", "-f", str(defs)]) == 0
+    body = json.loads(capsys.readouterr().out)
+    assert (body["count"], body["points"], body["verdict"]) == (0, [], "pass")
+    assert [(c["name"], c["verdict"]) for c in body["checks"]] == [
+        ("valuations:point-evaluations-embed", "pass"),
+        ("valuations:simple-valuations-linear", "pass"),
+    ]
+
+
 def test_valuation_and_envelopes_share_one_namespace(tmp_path):
     defs = tmp_path / "clash.defs"
     defs.write_text(

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import pytest
 
@@ -11,7 +12,7 @@ from powdom.funcspace import (
     identity_map,
     precompose,
 )
-from powdom.poset import is_order_iso, product_poset
+from powdom.poset import is_order_iso, poset_from_cover, product_poset
 
 POSETS = catalog.builtin_posets()
 TWO = catalog.TWO
@@ -22,10 +23,10 @@ def brute_count(source, target):
     count = 0
     for table in itertools.product(range(target.size), repeat=source.size):
         if all(
-            target.leq[table[i]][table[j]]
+            target.leq(table[i], table[j])
             for i in range(source.size)
             for j in range(source.size)
-            if source.leq[i][j]
+            if source.leq(i, j)
         ):
             count += 1
     return count
@@ -38,7 +39,7 @@ class TestEnumeration:
         assert [m.table for m in expo.maps] == [(0, 0), (0, 1), (1, 1)]
         # the three maps form a chain
         assert all(
-            expo.poset.leq[i][j] == (i <= j) for i in range(3) for j in range(3)
+            expo.poset.leq(i, j) == (i <= j) for i in range(3) for j in range(3)
         )
 
     def test_antichain_to_chain(self):
@@ -175,6 +176,23 @@ def test_pointwise_order_definition():
     for a in expo.maps:
         for b in expo.maps:
             pointwise = all(
-                TWO.leq[a.table[i]][b.table[i]] for i in range(a2.size)
+                TWO.leq(a.table[i], b.table[i]) for i in range(a2.size)
             )
             assert a.leq(b) == pointwise
+
+
+def test_dedekind_m5_at_the_enumerator_within_a_memory_budget():
+    # the monotone maps [A5 -> 2] -> 2 are counted by M(5) = 7,581
+    # (https://oeis.org/A000372); their order is 7,581 up rows, where a
+    # boolean matrix would hold 57 M entries
+    preds = enumerate_monotone(poset_from_cover(tuple("abcde"), ()), TWO)
+    tracemalloc.start()
+    try:
+        funcs = enumerate_monotone(preds.poset, TWO, 2**32)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(funcs) == 7581
+    # the constant 0 comes first and lies below every map
+    assert funcs.poset.up[0] == (1 << 7581) - 1
+    assert peak < 64 * 2**20

@@ -36,13 +36,13 @@ def test_random_extnn_leaves_the_rng_state_of_randrange(seed):
 
 
 def _scanned_monotone_values(poset, rng):
-    """The n^2 scan of the ``leq`` matrix: each raw value maximised over its down-set."""
+    """The n^2 scan of the order: each raw value maximised over its down-set."""
     raw = [_replayed_extnn(rng) for _ in poset.labels]
     vals = []
     for i in range(poset.size):
         best = raw[i]
         for j in range(poset.size):
-            if poset.leq[j][i] and best < raw[j]:
+            if poset.leq(j, i) and best < raw[j]:
                 best = raw[j]
         vals.append(best)
     return tuple(vals)
@@ -83,7 +83,7 @@ def test_strict_below_matches_the_order_and_is_computed_once():
     for poset in _posets():
         below = poset.strict_below()
         assert below == tuple(
-            tuple(j for j in range(poset.size) if j != i and poset.leq[j][i])
+            tuple(j for j in range(poset.size) if j != i and poset.leq(j, i))
             for i in range(poset.size)
         )
         assert poset.strict_below() is below

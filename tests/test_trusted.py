@@ -36,12 +36,12 @@ def _assert_expo_checks(expo):
     check or the scan it skipped."""
     tables = [m.table for m in expo.maps]
     leq = expo.target.leq
-    assert expo.poset.leq == tuple(
-        tuple(all(leq[x][y] for x, y in zip(a, b)) for b in tables) for a in tables
+    assert expo.poset.up == tuple(
+        sum(all(leq(x, y) for x, y in zip(a, b)) << j for j, b in enumerate(tables)) for a in tables
     )
-    checked = FinPoset(expo.poset.labels, expo.poset.leq)
+    checked = FinPoset(expo.poset.labels, expo.poset.up)
     assert checked == expo.poset
-    assert checked._up == expo.poset._up
+    assert checked.up == expo.poset.up
     assert checked.covers() == expo.poset.covers()
     assert checked.strict_below() == expo.poset.strict_below()
     for m in expo.maps:
